@@ -27,6 +27,7 @@ from .errors import (
 from .gaussian import (
     CmValidity,
     SteeringClass,
+    StsColumns,
     TwoModeCovariance,
     classify_steering,
     renyi2_entanglement,
@@ -82,6 +83,7 @@ __all__ = [
     "RegimeReport",
     "SteeringClass",
     "SteeringWindow",
+    "StsColumns",
     "TimeSweep",
     "TwoModeCovariance",
     "UnsupportedConfiguration",

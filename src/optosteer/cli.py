@@ -41,6 +41,10 @@ STATIONARY_FIELDS = ("v11", "v33", "v13", "g_ab", "g_ba", "g_delta", "e2")
 
 _TWO_PI = 2.0 * math.pi
 
+#: Largest accepted [run] grid_points: a sweep holds all of its columns in
+#: memory at once (about 0.1 kB per point while it is evaluated).
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ReducedBlock:
@@ -125,16 +129,17 @@ class RunConfig:
             problems.append(f"[run] mode: must be one of {', '.join(MODES)}")
         if self.physical is not None and self.reduced is not None:
             problems.append("exclusive blocks: give [physical] or [reduced], not both")
-        if self.grid_start < 0.0:
-            problems.append("[run] grid_start: must be >= 0")
-        if not self.grid_stop > self.grid_start:
-            problems.append("[run] grid_stop: must exceed grid_start")
-        if self.grid_points < 2:
-            problems.append("[run] grid_points: must be >= 2")
-        if not self.epsilon > 0.0:
-            problems.append("[run] epsilon: must be > 0")
-        if self.gamma_t is not None and self.gamma_t < 0.0:
-            problems.append("[run] gamma_t: must be >= 0")
+        # Chained comparisons with math.inf also turn away NaN and infinities.
+        if not 0.0 <= self.grid_start < math.inf:
+            problems.append("[run] grid_start: must be finite and >= 0")
+        if not self.grid_start < self.grid_stop < math.inf:
+            problems.append("[run] grid_stop: must be finite and exceed grid_start")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            problems.append(f"[run] grid_points: must be in [2, {MAX_GRID_POINTS}]")
+        if not 0.0 < self.epsilon < math.inf:
+            problems.append("[run] epsilon: must be finite and > 0")
+        if self.gamma_t is not None and not 0.0 <= self.gamma_t < math.inf:
+            problems.append("[run] gamma_t: must be finite and >= 0")
         if self.panel is not None and self.panel not in PANEL_PARAMS:
             problems.append(
                 f"[run] panel: unknown id, choose from {', '.join(PANEL_PARAMS)}"
@@ -329,8 +334,9 @@ def _round12(x) -> float:
     return float(_fmt(x))
 
 
-def _sample_row(sample):
-    return [getattr(sample, f) for f in SAMPLE_FIELDS]
+def _sample_rows(sample):
+    """Rows of SAMPLE_FIELDS from a MeasureSample, one per time it holds."""
+    return zip(*(np.atleast_1d(getattr(sample, f)).tolist() for f in SAMPLE_FIELDS))
 
 
 def _emit_table(stream, fields, rows, out_format):
@@ -383,8 +389,7 @@ def _dispatch(cfg: RunConfig, stream):
         if cfg.panel is None:
             raise ConfigError(["[run] panel: required for figure mode"])
         sweep = figure_panels(cfg.panel, grid=cfg.grid(), epsilon=cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, map(_sample_row, sweep.samples),
-                    cfg.out_format)
+        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sweep.measures), cfg.out_format)
         return
 
     if mode == "regime":
@@ -398,11 +403,10 @@ def _dispatch(cfg: RunConfig, stream):
         if cfg.gamma_t is None:
             raise ConfigError(["[run] gamma_t: required for eval mode"])
         sample = evaluate_measures(rp, cfg.gamma_t, cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, [_sample_row(sample)], cfg.out_format)
+        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sample), cfg.out_format)
     elif mode == "sweep":
         sweep = sweep_time(rp, cfg.grid(), cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, map(_sample_row, sweep.samples),
-                    cfg.out_format)
+        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sweep.measures), cfg.out_format)
     elif mode == "stationary":
         cm = stationary_covariance(rp)
         g_ab, g_ba = steering_a_to_b(cm), steering_b_to_a(cm)

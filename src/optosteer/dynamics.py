@@ -23,7 +23,8 @@ and the trajectory elements are
 
 with stationary values v11_inf = ((2N+1)C1 + 2 nth1 + 1)/(2(C1+1)),
 v33_inf likewise with (C2, nth2), and
-v13_inf = 2 M sqrt(C1 C2)/(C1 + C2 + 2).
+v13_inf = 2 M sqrt(C1 C2)/(C1 + C2 + 2).  The closed form evaluates a whole
+array of times at once as the three columns (v11, v33, v13).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, InvalidInput
-from .gaussian import TwoModeCovariance
+from .gaussian import FLOAT_MATH, StsColumns, TwoModeCovariance
 from .model import ReducedParams
 
 # Fixed-step size (in gamma*t) of the RK4 oracle and the elementwise change
@@ -105,21 +106,47 @@ def _stationary_elements(rp: ReducedParams):
     return v11, v33, v13
 
 
-def covariance_closed_form(rp: ReducedParams, gamma_t: float) -> TwoModeCovariance:
+def time_grid(grid) -> np.ndarray:
+    """A gamma*t grid as a new float array, after vectorised checks.
+
+    The grid must be a non-empty 1-d sequence of finite, nonnegative and
+    strictly increasing times; anything else raises InvalidInput.
+    """
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise InvalidInput("grid must be a non-empty 1-d sequence")
+    if not (np.isfinite(grid).all() and grid[0] >= 0.0):
+        raise InvalidInput("grid times must be finite and >= 0")
+    if len(grid) > 1 and not (np.diff(grid) > 0.0).all():
+        raise InvalidInput("grid must be strictly increasing")
+    return grid
+
+
+def covariance_closed_form(rp: ReducedParams, gamma_t):
     """Exact covariance matrix at dimensionless time gamma*t.
 
-    Written through expm1 so V(0) = I holds exactly and small times lose no
-    precision; algebraically identical to stationary + transient exponential.
+    A scalar time gives a TwoModeCovariance; an array of times gives
+    StsColumns of its shape, evaluated at once with numpy.  Written through
+    expm1 so V(0) = I holds exactly and small times lose no precision;
+    algebraically identical to stationary + transient exponential.
     """
-    if not math.isfinite(gamma_t) or gamma_t < 0.0:
+    if isinstance(gamma_t, float) or np.ndim(gamma_t) == 0:  # float: skip np.ndim's cost
+        t, xp = float(gamma_t), FLOAT_MATH
+        valid = 0.0 <= t < math.inf
+    else:
+        t, xp = np.asarray(gamma_t, dtype=float), np
+        valid = ((t >= 0.0) & (t < math.inf)).all()
+    if not valid:
         raise InvalidInput("gamma_t must be finite and >= 0")
     v11_inf, v33_inf, v13_inf = _stationary_elements(rp)
-    e1 = math.expm1(-(rp.c1 + 1.0) * gamma_t)
-    e2 = math.expm1(-(rp.c2 + 1.0) * gamma_t)
-    ec = math.expm1(-0.5 * (rp.c1 + rp.c2 + 2.0) * gamma_t)
+    e1 = xp.expm1(-(rp.c1 + 1.0) * t)
+    e2 = xp.expm1(-(rp.c2 + 1.0) * t)
+    ec = xp.expm1(-0.5 * (rp.c1 + rp.c2 + 2.0) * t)
     v11 = 1.0 - (v11_inf - 1.0) * e1
     v33 = 1.0 - (v33_inf - 1.0) * e2
     v13 = -v13_inf * ec
+    if xp is np:
+        return StsColumns(v11, v33, v13)
     return TwoModeCovariance.from_standard_form(v11, v33, v13)
 
 
@@ -132,8 +159,9 @@ def stationary_covariance(rp: ReducedParams) -> TwoModeCovariance:
 def _rk4_run(rate, diffusion, grid, v0, step):
     """Integrate dV/dtau = rate * V + diffusion (elementwise product).
 
-    For a diagonal drift matrix S this is bit-identical to
-    S V + V S^T + D because (S V + V S^T)_ij = (S_ii + S_jj) V_ij.
+    For a diagonal drift matrix S this is algebraically identical to
+    S V + V S^T + D because (S V + V S^T)_ij = (S_ii + S_jj) V_ij; the two
+    forms round differently.
     Each grid interval is covered by equal substeps no longer than `step`.
     """
     out = []
@@ -169,13 +197,7 @@ def covariance_ode(
     failing to converge within a few halvings raises IntegrationError.  The
     initial condition defaults to the identity matrix.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidInput("grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(grid)) or grid[0] < 0.0:
-        raise InvalidInput("grid times must be finite and >= 0")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0.0):
-        raise InvalidInput("grid must be strictly increasing")
+    grid = time_grid(grid)
     if not (0.0 < step <= 1.0):
         raise InvalidInput("step must be in (0, 1]")
 

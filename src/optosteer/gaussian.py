@@ -13,10 +13,19 @@ The steering measure in this convention is
 
     G(A->B) = max[0, (1/2) ln( det V1 / (4 det V) )]
 
-which for block-diagonal standard-form states reduces to
-max[0, -ln 2(v33 - v13^2/v11)].  The Renyi-2 entanglement E2 has a closed
-two-branch expression valid for the squeezed-thermal-state (STS) class, i.e.
+(Kogias, Lee, Ragy and Adesso, PRL 114, 060403 (2015)), which for
+block-diagonal standard-form states reduces to
+max[0, -ln 2(v33 - v13^2/v11)].  The Renyi-2 entanglement E2 (Adesso,
+Girolami and Serafini, PRL 109, 190502 (2012)) has a closed two-branch
+expression valid for the squeezed-thermal-state (STS) class, i.e.
 standard-form matrices with v11 = v22, v33 = v44 and v13 = -v24.
+
+An STS is fixed by the three numbers (v11, v33, v13), and every measure is
+a closed-form function of them, written once below for either a single
+state (Python floats and the ``math`` module, ``FLOAT_MATH``) or a whole
+column of states (numpy arrays).  ``StsColumns`` holds such columns; a
+``TwoModeCovariance`` exactly in STS form takes the same formulas on its
+floats.  Any other matrix takes the general determinant path.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +46,15 @@ STS_FORM_RTOL = 1e-10
 # Entries that vanish in the standard form: the q and p sectors never mix.
 _OFF_PATTERN = ((0, 1), (0, 3), (1, 2), (2, 3))
 
+#: The subset of numpy's namespace the closed-form formulas use, for Python
+#: floats: a single state costs a few math calls instead of a numpy call per
+#: operation.  numpy's expm1 and log differ from the C library's by an ulp on
+#: a small share of inputs, so a column entry can differ from the same state
+#: evaluated alone in the last bits.
+FLOAT_MATH = SimpleNamespace(
+    expm1=math.expm1, log=math.log, sqrt=math.sqrt, maximum=max, any=bool,
+)
+
 
 class SteeringClass(enum.Enum):
     """Directional classification of a two-mode state's Gaussian steerability."""
@@ -43,6 +63,14 @@ class SteeringClass(enum.Enum):
     ONE_WAY_A_TO_B = "one_way_a_to_b"
     ONE_WAY_B_TO_A = "one_way_b_to_a"
     TWO_WAY = "two_way"
+
+
+#: Steering classes by code (G(A->B) > epsilon) + 2 (G(B->A) > epsilon).
+_CLASS_BY_CODE = np.array(
+    [SteeringClass.NO_WAY, SteeringClass.ONE_WAY_A_TO_B,
+     SteeringClass.ONE_WAY_B_TO_A, SteeringClass.TWO_WAY],
+    dtype=object,
+)
 
 
 @dataclass(frozen=True)
@@ -59,7 +87,7 @@ class TwoModeCovariance:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidInput(f"covariance matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise InvalidInput("covariance matrix has non-finite entries")
         m = m.copy()
         m.setflags(write=False)
@@ -151,6 +179,66 @@ class TwoModeCovariance:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)
 
+    @cached_property
+    def _sts(self):
+        """(v11, v33, v13) as floats if the matrix is exactly in STS standard
+        form, else None."""
+        (a00, a01, a02, a03, a10, a11, a12, a13,
+         a20, a21, a22, a23, a30, a31, a32, a33) = self.matrix.ravel().tolist()
+        if (a11 == a00 and a33 == a22 and a20 == a02 and a13 == a31 == -a02
+                and a01 == a03 == a10 == a12 == a21 == a23 == a30 == a32 == 0.0):
+            return a00, a22, a02
+        return None
+
+    @cached_property
+    def _steering(self):
+        """(G(A->B), G(B->A)), computed once per state: the STS formulas if
+        the matrix is exactly in STS form, else the general determinant
+        path."""
+        if self._sts is not None:
+            return _sts_steering(*self._sts, FLOAT_MATH)
+        _check_marginals(self)
+        det_v = _det4(self)
+        if det_v <= 0.0:
+            raise NonPhysicalState("det V <= 0")
+        det_a, det_b = _det2(self.block_a), _det2(self.block_b)
+        if det_a <= 0.0 or det_b <= 0.0:
+            raise NonPhysicalState("det V1 or det V2 <= 0")
+        return (_steering_value(det_a, det_v, FLOAT_MATH),
+                _steering_value(det_b, det_v, FLOAT_MATH))
+
+
+@dataclass(frozen=True)
+class StsColumns:
+    """Squeezed thermal states in STS standard form, held as three columns.
+
+    Entry k is the state with v11 = v22 = v11[k], v33 = v44 = v33[k],
+    v13 = -v24 = v13[k] and every q-p entry zero.  The columns are read-only
+    float arrays of one shape.  The measure functions of this module accept
+    it wherever they accept a TwoModeCovariance and return an array of that
+    shape, evaluated with numpy array code.
+    """
+
+    v11: np.ndarray
+    v33: np.ndarray
+    v13: np.ndarray
+
+    def __post_init__(self):
+        try:
+            cols = np.array([self.v11, self.v33, self.v13], dtype=float)
+        except ValueError:
+            raise InvalidInput("v11, v33 and v13 must have the same shape") from None
+        if not np.isfinite(cols).all():
+            raise InvalidInput("STS columns have non-finite entries")
+        cols.setflags(write=False)
+        for name, col in zip(("v11", "v33", "v13"), cols):
+            object.__setattr__(self, name, col)
+
+    @cached_property
+    def _steering(self):
+        """(G(A->B), G(B->A)) columns."""
+        return _sts_steering(self.v11, self.v33, self.v13, np)
+
 
 @dataclass(frozen=True)
 class CmValidity:
@@ -228,35 +316,39 @@ def _check_marginals(cm: TwoModeCovariance):
         raise NonPhysicalState("covariance matrix has a non-positive variance")
 
 
-def steering_a_to_b(cm: TwoModeCovariance) -> float:
+def _steering_value(det_measured, det_v, xp):
+    """max[0, (1/2) ln(det V_m / (4 det V))], V_m the block of the measured
+    mode; xp is numpy or FLOAT_MATH."""
+    return xp.maximum(0.0, 0.5 * xp.log(det_measured / (4.0 * det_v)))
+
+
+def _sts_steering(v11, v33, v13, xp):
+    """(G(A->B), G(B->A)) of STS entries: det V1 = v11^2, det V2 = v33^2 and
+    det V = g^2 with g = v11 v33 - v13^2."""
+    g = v11 * v33 - v13 * v13
+    det_a, det_b, det_v = v11 * v11, v33 * v33, g * g
+    if xp.any((v11 <= 0.0) | (v33 <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0)
+              | (det_v <= 0.0)):
+        raise NonPhysicalState("non-positive variance or determinant")
+    return _steering_value(det_a, det_v, xp), _steering_value(det_b, det_v, xp)
+
+
+def steering_a_to_b(cm):
     """Gaussian steerability of mode B by measurements on mode A.
 
     max[0, (1/2) ln(det V1 / (4 det V))]; zero iff the state is not
-    A->B steerable under Gaussian measurements.
+    A->B steerable under Gaussian measurements.  A TwoModeCovariance gives
+    a float, StsColumns one value per entry.
     """
-    _check_marginals(cm)
-    det_v = _det4(cm)
-    if det_v <= 0.0:
-        raise NonPhysicalState("det V <= 0")
-    det_a = _det2(cm.block_a)
-    if det_a <= 0.0:
-        raise NonPhysicalState("det V1 <= 0")
-    return max(0.0, 0.5 * math.log(det_a / (4.0 * det_v)))
+    return cm._steering[0]
 
 
-def steering_b_to_a(cm: TwoModeCovariance) -> float:
+def steering_b_to_a(cm):
     """Gaussian steerability of mode A by measurements on mode B."""
-    _check_marginals(cm)
-    det_v = _det4(cm)
-    if det_v <= 0.0:
-        raise NonPhysicalState("det V <= 0")
-    det_b = _det2(cm.block_b)
-    if det_b <= 0.0:
-        raise NonPhysicalState("det V2 <= 0")
-    return max(0.0, 0.5 * math.log(det_b / (4.0 * det_v)))
+    return cm._steering[1]
 
 
-def steering_asymmetry(cm: TwoModeCovariance) -> float:
+def steering_asymmetry(cm):
     """|G(A->B) - G(B->A)|.  Always below ln 2 for standard-form states."""
     return abs(steering_a_to_b(cm) - steering_b_to_a(cm))
 
@@ -280,7 +372,38 @@ def _require_sts(cm: TwoModeCovariance):
         )
 
 
-def renyi2_entanglement(cm: TwoModeCovariance) -> float:
+def _renyi2_terms(v11, v33, v13, xp):
+    """s, d, g of STS entries and whether each lies on the entangled branch;
+    NonPhysicalState for the gap region (see renyi2_entanglement)."""
+    s = 0.5 * (v11 + v33)
+    d = 0.5 * (v11 - v33)
+    g = v11 * v33 - v13 * v13
+    entangled = 4.0 * g < 4.0 * s - 1.0
+    # g carries cancellation error of order eps * scale^2, so pure states that
+    # sit exactly on the 4g = 4|d| + 1 boundary may land an ulp below it;
+    # allow that sliver and reject only genuine gap-region inputs.
+    gap_tol = 1e-12 * xp.maximum(1.0, s * s)
+    gap = entangled & (4.0 * g < 4.0 * abs(d) + 1.0 - gap_tol)
+    if xp.any(gap):
+        k = np.flatnonzero(gap)[0]
+        g_k, d_k = np.ravel(g)[k], np.ravel(d)[k]
+        raise NonPhysicalState(
+            f"4g = {4 * g_k:.6g} < 4|d| + 1 = {4 * abs(d_k) + 1:.6g}: not a bona fide STS"
+        )
+    return s, d, g, entangled
+
+
+def _renyi2_entangled(s, d, g, xp):
+    """E2 on the entangled branch."""
+    # Both factors are nonnegative on this branch ((4g-1)^2 >= 16d^2 and
+    # s^2 - d^2 - g = v13^2); the clamps only absorb rounding at the edges.
+    rad = (xp.maximum((4.0 * g - 1.0) ** 2 - 16.0 * d * d, 0.0)
+           * xp.maximum(s * s - d * d - g, 0.0))
+    ratio = ((4.0 * g + 1.0) * s - xp.sqrt(rad)) / (4.0 * (d * d + g))
+    return xp.maximum(0.0, xp.log(ratio))
+
+
+def renyi2_entanglement(cm):
     """Gaussian Renyi-2 entanglement E2 of a squeezed thermal state.
 
     With s = (v11+v33)/2, d = (v11-v33)/2 and g = v11*v33 - v13^2:
@@ -290,42 +413,31 @@ def renyi2_entanglement(cm: TwoModeCovariance) -> float:
       E2 = (1/2) ln h with
       h = [((4g+1)s - sqrt([(4g-1)^2 - 16 d^2][s^2 - d^2 - g])) / (4(d^2+g))]^2.
 
-    Inputs outside the STS standard form raise UnsupportedForm; the region
+    A TwoModeCovariance gives a float, StsColumns one value per entry.
+    Matrices outside the STS standard form raise UnsupportedForm; the region
     4g < 4|d| + 1 cannot occur for bona fide STS states and raises
     NonPhysicalState rather than extrapolating.
     """
-    _require_sts(cm)
-    v11, v33, v13 = cm.v11, cm.v33, cm.v13
-    s = 0.5 * (v11 + v33)
-    d = 0.5 * (v11 - v33)
-    g = v11 * v33 - v13 * v13
-    if 4.0 * g >= 4.0 * s - 1.0:
-        return 0.0
-    # g carries cancellation error of order eps * scale^2, so pure states that
-    # sit exactly on the 4g = 4|d| + 1 boundary may land an ulp below it;
-    # allow that sliver and reject only genuine gap-region inputs.
-    gap_tol = 1e-12 * max(1.0, s * s)
-    if 4.0 * g < 4.0 * abs(d) + 1.0 - gap_tol:
-        raise NonPhysicalState(
-            f"4g = {4 * g:.6g} < 4|d| + 1 = {4 * abs(d) + 1:.6g}: not a bona fide STS"
-        )
-    # Both factors are nonnegative in this branch ((4g-1)^2 >= 16d^2 and
-    # s^2 - d^2 - g = v13^2); the clamps only absorb rounding at the edges.
-    rad = max((4.0 * g - 1.0) ** 2 - 16.0 * d * d, 0.0) * max(s * s - d * d - g, 0.0)
-    ratio = ((4.0 * g + 1.0) * s - math.sqrt(rad)) / (4.0 * (d * d + g))
-    return max(0.0, math.log(ratio))
+    if isinstance(cm, StsColumns):
+        s, d, g, entangled = _renyi2_terms(cm.v11, cm.v33, cm.v13, np)
+        # Separable entries may leave the formula's domain; where() drops them.
+        with np.errstate(all="ignore"):
+            return np.where(entangled, _renyi2_entangled(s, d, g, np), 0.0)
+    sts = cm._sts
+    if sts is None:
+        _require_sts(cm)
+        sts = float(cm.v11), float(cm.v33), float(cm.v13)
+    s, d, g, entangled = _renyi2_terms(*sts, FLOAT_MATH)
+    return _renyi2_entangled(s, d, g, FLOAT_MATH) if entangled else 0.0
 
 
-def classify_steering(cm: TwoModeCovariance, epsilon=1e-9) -> SteeringClass:
-    """Classify the steering direction against a positivity tolerance."""
-    if epsilon <= 0.0:
-        raise InvalidInput("epsilon must be positive")
-    g_ab = steering_a_to_b(cm)
-    g_ba = steering_b_to_a(cm)
-    if g_ab > epsilon and g_ba > epsilon:
-        return SteeringClass.TWO_WAY
-    if g_ab > epsilon:
-        return SteeringClass.ONE_WAY_A_TO_B
-    if g_ba > epsilon:
-        return SteeringClass.ONE_WAY_B_TO_A
-    return SteeringClass.NO_WAY
+def classify_steering(cm, epsilon=1e-9):
+    """Classify the steering direction against a positivity tolerance.
+
+    A TwoModeCovariance gives a SteeringClass, StsColumns an object array of
+    them, one per entry.
+    """
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidInput("epsilon must be positive and finite")
+    g_ab, g_ba = cm._steering
+    return _CLASS_BY_CODE[(g_ab > epsilon) + 2 * (g_ba > epsilon)]

@@ -1,21 +1,28 @@
 """Time sweeps of the correlation measures, sudden-birth detection, steering
 windows, and the built-in demonstration panel parameter sets.
 
-All sweeps evaluate the closed-form covariance pointwise, so identical inputs
-produce bit-identical datasets regardless of evaluation order.
+A sweep evaluates the closed form and every measure once over its whole
+grid, as numpy columns.  A single time (``evaluate_measures`` on a scalar,
+and each bisection step) runs the same formulas on floats with the ``math``
+module.  The single-time path is the reference: it gives the values the
+package has always given, bit for bit.  A sweep entry agrees with it to
+1e-10 relative (numpy's expm1 and log differ from the C library's by an ulp
+on a small share of inputs), and the panel datasets print identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import covariance_closed_form
+from .dynamics import covariance_closed_form, time_grid
 from .errors import InvalidInput
 from .gaussian import (
     SteeringClass,
+    StsColumns,
     classify_steering,
     renyi2_entanglement,
     steering_a_to_b,
@@ -35,7 +42,11 @@ MEASURE_NAMES = ("g_ab", "g_ba", "g_delta", "e2")
 
 @dataclass(frozen=True)
 class MeasureSample:
-    """Correlation measures of the dynamical state at one scaled time."""
+    """Correlation measures of the dynamical state at one scaled time.
+
+    From an array of times every field is a read-only column, one entry per
+    time, and ``steering_class`` is an object array of SteeringClass.
+    """
 
     gamma_t: float
     g_ab: float
@@ -64,20 +75,30 @@ class SteeringWindow:
 
 @dataclass(frozen=True)
 class TimeSweep:
-    """A measure series together with the parameters that generated it."""
+    """A measure series together with the parameters that generated it.
+
+    ``measures`` holds the series as columns (a MeasureSample of arrays).
+    """
 
     params: ReducedParams
     epsilon: float
-    samples: tuple[MeasureSample, ...]
+    measures: MeasureSample
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.gamma_t for s in self.samples])
+        return self.measures.gamma_t.copy()
 
     def column(self, name: str) -> np.ndarray:
         if name not in MEASURE_NAMES:
             raise InvalidInput(f"unknown measure {name!r}")
-        return np.array([getattr(s, name) for s in self.samples])
+        return np.array(getattr(self.measures, name))
+
+    @cached_property
+    def samples(self) -> tuple[MeasureSample, ...]:
+        """The series as one MeasureSample per grid point, built on first use."""
+        m = self.measures
+        return tuple(map(MeasureSample, m.gamma_t.tolist(), m.g_ab.tolist(),
+                         m.g_ba.tolist(), m.e2.tolist(), m.steering_class.tolist()))
 
 
 def default_grid() -> np.ndarray:
@@ -85,50 +106,38 @@ def default_grid() -> np.ndarray:
 
 
 def evaluate_measures(rp: ReducedParams, gamma_t, epsilon=1e-9) -> MeasureSample:
-    """All four measures plus the steering class at a single scaled time."""
-    cm = covariance_closed_form(rp, gamma_t)
-    return MeasureSample(
-        gamma_t=float(gamma_t),
-        g_ab=steering_a_to_b(cm),
-        g_ba=steering_b_to_a(cm),
-        e2=renyi2_entanglement(cm),
-        steering_class=classify_steering(cm, epsilon),
-    )
+    """All four measures plus the steering class at a single scaled time, or
+    at every entry of a 1-d array of them, evaluated at once (then every
+    field of the result is a column)."""
+    state = covariance_closed_form(rp, gamma_t)
+    values = (steering_a_to_b(state), steering_b_to_a(state),
+              renyi2_entanglement(state), classify_steering(state, epsilon))
+    if not isinstance(state, StsColumns):
+        return MeasureSample(float(gamma_t), *values)
+    times = np.array(gamma_t, dtype=float)
+    for column in (times, *values):
+        column.setflags(write=False)
+    return MeasureSample(times, *values)
 
 
 def sweep_time(rp: ReducedParams, grid, epsilon=1e-9) -> TimeSweep:
-    """One sample per grid point, deterministic in grid order."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidInput("grid must be a non-empty 1-d sequence")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0.0):
-        raise InvalidInput("grid must be strictly increasing")
-    samples = tuple(evaluate_measures(rp, t, epsilon) for t in grid)
-    return TimeSweep(rp, epsilon, samples)
+    """The measures at every point of a grid, evaluated at once as columns.
+
+    The grid must be non-empty, 1-d, finite, nonnegative and strictly
+    increasing, or InvalidInput is raised.
+    """
+    return TimeSweep(rp, epsilon, evaluate_measures(rp, time_grid(grid), epsilon))
 
 
-def _measure_at(rp: ReducedParams, gamma_t: float, which: str) -> float:
-    cm = covariance_closed_form(rp, gamma_t)
-    if which == "g_ab":
-        return steering_a_to_b(cm)
-    if which == "g_ba":
-        return steering_b_to_a(cm)
-    if which == "g_delta":
-        return abs(steering_a_to_b(cm) - steering_b_to_a(cm))
-    if which == "e2":
-        return renyi2_entanglement(cm)
-    raise InvalidInput(f"unknown measure {which!r}")
+def _bisect_crossing(rp, which, epsilon, t_lo, t_hi, lo_above, tol):
+    """Locate where a measure crosses epsilon inside (t_lo, t_hi].
 
-
-def _bisect_crossing(rp, which, epsilon, t_lo, t_hi, tol):
-    """Locate the epsilon-crossing of a measure inside (t_lo, t_hi]."""
-    f_lo = _measure_at(rp, t_lo, which) - epsilon
-    f_hi = _measure_at(rp, t_hi, which) - epsilon
-    if f_lo * f_hi > 0.0:  # no sign change; caller guaranteed one, keep the grid edge
-        return t_hi
+    ``lo_above`` tells whether the measure exceeds epsilon at t_lo; at t_hi
+    it lies on the other side.  Callers read both from the sweep.
+    """
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        if (_measure_at(rp, mid, which) - epsilon) * f_lo > 0.0:
+        if (getattr(evaluate_measures(rp, mid, epsilon), which) > epsilon) == lo_above:
             t_lo = mid
         else:
             t_hi = mid
@@ -141,18 +150,16 @@ def detect_birth(sweep: TimeSweep, which: str, refine_tol=REFINE_TOL):
     Grid detection refined by bisection on the closed form; None when the
     measure never comes alive on the grid.
     """
-    values = sweep.column(which)
-    times = sweep.times
-    above = np.nonzero(values > sweep.epsilon)[0]
+    above = np.flatnonzero(sweep.column(which) > sweep.epsilon)
     if len(above) == 0:
         return None
     idx = int(above[0])
+    times = sweep.measures.gamma_t
     if idx == 0:
         return float(times[0])
-    return float(
-        _bisect_crossing(
-            sweep.params, which, sweep.epsilon, times[idx - 1], times[idx], refine_tol
-        )
+    return _bisect_crossing(
+        sweep.params, which, sweep.epsilon,
+        float(times[idx - 1]), float(times[idx]), False, refine_tol,
     )
 
 
@@ -162,17 +169,15 @@ def _boundary_time(sweep: TimeSweep, i: int, refine_tol) -> float:
     At a change at least one steering measure flips across epsilon; the
     boundary is the earliest such crossing.
     """
-    lo, hi = sweep.samples[i], sweep.samples[i + 1]
+    m, eps = sweep.measures, sweep.epsilon
+    t_lo, t_hi = float(m.gamma_t[i]), float(m.gamma_t[i + 1])
     crossings = []
-    for which in ("g_ab", "g_ba"):
-        if (getattr(lo, which) > sweep.epsilon) != (getattr(hi, which) > sweep.epsilon):
-            crossings.append(
-                _bisect_crossing(
-                    sweep.params, which, sweep.epsilon,
-                    lo.gamma_t, hi.gamma_t, refine_tol,
-                )
-            )
-    return min(crossings) if crossings else 0.5 * (lo.gamma_t + hi.gamma_t)
+    for which, values in (("g_ab", m.g_ab), ("g_ba", m.g_ba)):
+        lo_above = bool(values[i] > eps)
+        if lo_above != bool(values[i + 1] > eps):
+            crossings.append(_bisect_crossing(
+                sweep.params, which, eps, t_lo, t_hi, lo_above, refine_tol))
+    return min(crossings)
 
 
 def steering_windows(sweep: TimeSweep, refine_tol=REFINE_TOL):
@@ -182,20 +187,18 @@ def steering_windows(sweep: TimeSweep, refine_tol=REFINE_TOL):
     the first window starts at the grid start and the last one is truncated
     by the grid end.
     """
-    samples = sweep.samples
-    if len(samples) < 2:
+    times, classes = sweep.measures.gamma_t, sweep.measures.steering_class
+    if len(times) < 2:
         raise InvalidInput("need at least two samples to build windows")
     windows = []
-    run_start = samples[0].gamma_t
-    run_kind = samples[0].steering_class
-    for i in range(len(samples) - 1):
-        if samples[i + 1].steering_class is run_kind:
-            continue
+    run_start = float(times[0])
+    run_kind = classes[0]
+    for i in np.flatnonzero(classes[1:] != classes[:-1]).tolist():
         edge = _boundary_time(sweep, i, refine_tol)
         windows.append(SteeringWindow(run_kind, run_start, edge))
         run_start = edge
-        run_kind = samples[i + 1].steering_class
-    windows.append(SteeringWindow(run_kind, run_start, samples[-1].gamma_t))
+        run_kind = classes[i + 1]
+    windows.append(SteeringWindow(run_kind, run_start, float(times[-1])))
     return tuple(windows)
 
 

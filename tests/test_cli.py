@@ -7,6 +7,7 @@ import pytest
 
 from optosteer import ConfigError, NonPhysicalState
 from optosteer.cli import (
+    MAX_GRID_POINTS,
     ReducedBlock,
     RunConfig,
     main,
@@ -122,6 +123,36 @@ class TestParseConfig:
     def test_malformed_document(self):
         with pytest.raises(ConfigError):
             parse_config("not an ini document")
+
+    @pytest.mark.parametrize("line", [
+        "mode = eval\ngamma_t = nan",
+        "mode = sweep\ngrid_stop = inf",
+        "mode = sweep\ngrid_start = nan",
+        "mode = sweep\nepsilon = inf",
+        "mode = sweep\nepsilon = nan",
+    ])
+    def test_non_finite_run_values_exit_one(self, tmp_path, capsys, line):
+        path = tmp_path / "cfg.ini"
+        path.write_text(REDUCED_DOC.replace("mode = sweep", line))
+        assert main(["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_non_finite_epsilon_flag_exits_one(self, capsys):
+        assert main(["--mode", "figure", "--panel", "2a", "--epsilon", "inf"]) == 1
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_grid_points_bounded(self):
+        # checked when the config is built, before any grid exists
+        assert RunConfig(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+        with pytest.raises(ConfigError):
+            RunConfig(grid_points=MAX_GRID_POINTS + 1)
+        doc = REDUCED_DOC.replace("grid_points = 11", "grid_points = 1000000000000")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(doc)
+        assert any("grid_points" in p for p in excinfo.value.problems)
 
 
 class TestRenderRoundTrip:

@@ -7,6 +7,7 @@ from optosteer import (
     IntegrationError,
     InvalidInput,
     ReducedParams,
+    StsColumns,
     build_drift_diffusion,
     covariance_closed_form,
     covariance_ode,
@@ -71,6 +72,24 @@ class TestClosedForm:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidInput):
             covariance_closed_form(PANEL_PARAMS["2a"], -0.1)
+
+    def test_bad_time_in_an_array_rejected(self):
+        for times in ([0.0, -0.1], [0.0, math.inf], [math.nan, 1.0]):
+            with pytest.raises(InvalidInput):
+                covariance_closed_form(PANEL_PARAMS["2a"], np.array(times))
+
+    def test_array_of_times_gives_columns_of_the_matrices(self):
+        # numpy's expm1 may differ from the C library's by an ulp
+        rp = PANEL_PARAMS["2d"]
+        grid = np.linspace(0.0, 5.0, 201)
+        cols = covariance_closed_form(rp, grid)
+        assert isinstance(cols, StsColumns)
+        for name in ("v11", "v33", "v13"):
+            np.testing.assert_allclose(
+                getattr(cols, name),
+                [getattr(covariance_closed_form(rp, t), name) for t in grid],
+                rtol=1e-14, atol=0.0,
+            )
 
     def test_stationary_diagonal_value(self):
         # ((2N+1) C1 + 2 nth1 + 1) / (2 (C1 + 1)) at C1 = 15, nth1 = 1, r = 1

@@ -7,6 +7,7 @@ from optosteer import (
     InvalidInput,
     NonPhysicalState,
     SteeringClass,
+    StsColumns,
     TwoModeCovariance,
     UnsupportedForm,
     classify_steering,
@@ -252,6 +253,11 @@ class TestClassification:
         with pytest.raises(InvalidInput):
             classify_steering(TwoModeCovariance.vacuum(), epsilon=0.0)
 
+    def test_epsilon_must_be_finite(self):
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                classify_steering(TwoModeCovariance.vacuum(), epsilon=epsilon)
+
     def test_nonnegativity_of_all_measures(self):
         rng = np.random.default_rng(41)
         for _ in range(500):
@@ -260,3 +266,31 @@ class TestClassification:
             assert steering_b_to_a(cm) >= 0.0
             assert steering_asymmetry(cm) >= 0.0
             assert renyi2_entanglement(cm) >= 0.0
+
+
+class TestStsColumns:
+    """Columns run the formulas with numpy, single states with math; see
+    test_scenario.TestColumns for the tolerance."""
+
+    def test_columns_agree_with_single_states(self):
+        rng = np.random.default_rng(47)
+        states = [random_sts(rng) for _ in range(300)]
+        cols = StsColumns(*([getattr(cm, v) for cm in states] for v in ("v11", "v33", "v13")))
+        for measure in (steering_a_to_b, steering_b_to_a, steering_asymmetry,
+                        renyi2_entanglement):
+            np.testing.assert_allclose(
+                measure(cols), [measure(cm) for cm in states], rtol=1e-10, atol=1e-14
+            )
+        assert list(classify_steering(cols)) == [classify_steering(cm) for cm in states]
+
+    def test_one_non_physical_entry_fails_the_column(self):
+        with pytest.raises(NonPhysicalState):
+            steering_a_to_b(StsColumns([1.0, -1.0], [1.0, 1.0], [0.0, 0.0]))
+        with pytest.raises(NonPhysicalState):  # the gap-region state of TestRenyi2
+            renyi2_entanglement(StsColumns([1.0, 3.0], [1.0, 0.5], [0.0, math.sqrt(0.5)]))
+
+    def test_malformed_columns_rejected(self):
+        with pytest.raises(InvalidInput):
+            StsColumns([1.0, 2.0], [1.0], [0.0, 0.0])
+        with pytest.raises(InvalidInput):
+            StsColumns([1.0, math.nan], [1.0, 1.0], [0.0, 0.0])

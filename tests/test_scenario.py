@@ -13,7 +13,8 @@ from optosteer import (
     steering_windows,
     sweep_time,
 )
-from optosteer.scenario import PANEL_PARAMS, default_grid
+from optosteer.scenario import MEASURE_NAMES, PANEL_PARAMS, default_grid
+from conftest import random_reduced
 
 
 def grid_n(n, stop=5.0):
@@ -62,6 +63,58 @@ class TestSweep:
             sweep_time(PANEL_PARAMS["2a"], [])
         with pytest.raises(InvalidInput):
             sweep_time(PANEL_PARAMS["2a"], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, 0.0, 1.0], [0.0, 1.0, math.inf], [0.0, math.nan]]
+    )
+    def test_negative_or_non_finite_grid_rejected(self, grid):
+        with pytest.raises(InvalidInput):
+            sweep_time(PANEL_PARAMS["2a"], grid)
+
+
+class TestColumns:
+    """A sweep evaluates its grid at once with numpy; a single time runs the
+    same formulas on floats with the math module, whose expm1 and log can
+    differ from numpy's by an ulp.  That rounding, carried through the
+    formulas, bounds the agreement: rtol 1e-10 with atol 1e-14.  Measured on
+    the nine panels over 1001 points and 100 random parameter sets over 301
+    points, 151 of 117,327 values differ, the worst by 3.3e-13 relative, and
+    no steering class differs."""
+
+    def test_sweep_columns_match_single_point_evaluation(self):
+        rng = np.random.default_rng(43)
+        cases = [(rp, grid_n(201)) for rp in PANEL_PARAMS.values()]
+        cases += [(random_reduced(rng), grid_n(101, stop=3.0)) for _ in range(30)]
+        for rp, grid in cases:
+            sweep = sweep_time(rp, grid)
+            points = [evaluate_measures(rp, t) for t in grid]
+            assert np.array_equal(sweep.times, [p.gamma_t for p in points])
+            for name in MEASURE_NAMES:
+                np.testing.assert_allclose(
+                    sweep.column(name), [getattr(p, name) for p in points],
+                    rtol=1e-10, atol=1e-14,
+                )
+            assert list(sweep.measures.steering_class) == [
+                p.steering_class for p in points
+            ]
+
+    def test_samples_view_matches_columns(self):
+        sweep = figure_panels("2c", grid=grid_n(301))
+        samples = sweep.samples
+        assert samples is sweep.samples  # built once
+        assert [s.gamma_t for s in samples] == sweep.times.tolist()
+        for name in MEASURE_NAMES:
+            assert [getattr(s, name) for s in samples] == sweep.column(name).tolist()
+        assert [s.steering_class for s in samples] == list(sweep.measures.steering_class)
+        assert all(type(s.g_ab) is float and type(s.e2) is float for s in samples)
+
+    def test_columns_are_read_only(self):
+        sweep = figure_panels("2a", grid=grid_n(11))
+        with pytest.raises(ValueError):
+            sweep.measures.g_ab[0] = 1.0
+        copy = sweep.column("g_ab")
+        copy[0] = 1.0  # the accessors hand out copies
+        assert sweep.measures.g_ab[0] == 0.0
 
 
 class TestBirthDetection:
