@@ -58,10 +58,7 @@ class ReducedBlock:
     gamma_hz: float
 
     def to_params(self) -> ReducedParams:
-        return ReducedParams(
-            c1=self.c1, c2=self.c2, nth1=self.nth1, nth2=self.nth2,
-            r=self.r, gamma=_TWO_PI * self.gamma_hz,
-        )
+        return ReducedParams(**_model_kwargs(self, _REDUCED_NAMES))
 
 
 @dataclass(frozen=True)
@@ -89,22 +86,8 @@ class PhysicalBlock:
     nth2: float | None = None
 
     def to_params(self) -> PhysicalParams:
-        def arm(j):
-            sfx = str(j)
-            return ArmParams(
-                omega_c=_TWO_PI * getattr(self, f"cavity_freq{sfx}_hz"),
-                omega_l=_TWO_PI * getattr(self, f"laser_freq{sfx}_hz"),
-                length=getattr(self, f"length{sfx}_m"),
-                kappa=_TWO_PI * getattr(self, f"kappa{sfx}_hz"),
-                power=getattr(self, f"power{sfx}_w"),
-                mass=getattr(self, f"mass{sfx}_kg"),
-                omega_m=_TWO_PI * self.mech_freq_hz,
-                gamma=_TWO_PI * self.gamma_hz,
-                temperature=getattr(self, f"temp{sfx}_k"),
-                n_th=getattr(self, f"nth{sfx}"),
-            )
-
-        return PhysicalParams(arm1=arm(1), arm2=arm(2), squeezing=self.r)
+        arm1, arm2 = (ArmParams(**_model_kwargs(self, arm)) for arm in _ARM_NAMES)
+        return PhysicalParams(arm1=arm1, arm2=arm2, squeezing=self.r)
 
 
 @dataclass(frozen=True)
@@ -153,67 +136,63 @@ class RunConfig:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
 
 
-_REQUIRED = {
-    "reduced": ("c1", "c2", "nth1", "nth2", "r", "gamma_hz"),
-    "physical": (
-        "cavity_freq1_hz", "cavity_freq2_hz", "laser_freq1_hz", "laser_freq2_hz",
-        "length1_m", "length2_m", "kappa1_hz", "kappa2_hz",
-        "power1_w", "power2_w", "mass1_kg", "mass2_kg",
-        "mech_freq_hz", "gamma_hz", "r",
-    ),
+_BLOCKS = {"physical": PhysicalBlock, "reduced": ReducedBlock}
+_CONVERTERS = {"float": float, "int": int, "str": str}
+_NOT_A = {float: "not a number", int: "not an integer"}
+
+
+def _table():
+    """The INI schema, read once from the dataclasses above: each field of a
+    block is a key of its section, each other field of RunConfig a key of
+    [run] (of [output] without the prefix if it starts with "out_").  A field
+    without a default is required; its type gives the converter.  Returns per
+    section INI key -> (field, converter, required) in field order, the
+    required keys, and the entries with their keys, integers last (the order
+    in which bad values have always been reported)."""
+    sections = {}
+    for name, cls in (*_BLOCKS.items(), ("run", RunConfig)):
+        for f in dataclasses.fields(cls):
+            if f.name in _BLOCKS:
+                continue
+            key = f.name.removeprefix("out_")
+            sections.setdefault(name if key == f.name else "output", {})[key] = (
+                f.name, _CONVERTERS[f.type.partition(" ")[0]],
+                f.default is dataclasses.MISSING)
+    return (sections,
+            {s: [k for k, e in keys.items() if e[2]] for s, keys in sections.items()},
+            {s: sorted(((k, *e) for k, e in keys.items()), key=lambda e: e[2] is int)
+             for s, keys in sections.items()})
+
+
+_SECTIONS, _REQUIRED_KEYS, _CONVERT_ORDER = _table()
+
+
+def _model_names(pairs):
+    """(block field, model field, hz) of (block field, model field) pairs: a
+    key ending in "_hz" is a frequency in Hz, scaled by 2*pi into rad/s."""
+    return [(key, name, key.endswith("_hz")) for key, name in pairs]
+
+
+#: ArmParams field of each [physical] key pattern; "{}" is the arm number.
+_ARM_FIELDS = {
+    "cavity_freq{}_hz": "omega_c", "laser_freq{}_hz": "omega_l",
+    "length{}_m": "length", "kappa{}_hz": "kappa", "power{}_w": "power",
+    "mass{}_kg": "mass", "mech_freq_hz": "omega_m", "gamma_hz": "gamma",
+    "temp{}_k": "temperature", "nth{}": "n_th",
 }
-_OPTIONAL = {
-    "reduced": (),
-    "physical": ("temp1_k", "temp2_k", "nth1", "nth2"),
-    "run": ("mode", "grid_start", "grid_stop", "grid_points",
-            "epsilon", "gamma_t", "panel"),
-    "output": ("format", "path"),
-}
+_ARM_NAMES = [
+    _model_names((p.format(j), name) for p, name in _ARM_FIELDS.items()) for j in (1, 2)
+]
+_REDUCED_NAMES = _model_names((k, k.removesuffix("_hz")) for k in _SECTIONS["reduced"])
 
 
-def _read_section(cp, section, problems):
-    """Pull a section into a dict, flagging unknown keys; strict on typos."""
-    known = set(_REQUIRED.get(section, ())) | set(_OPTIONAL[section])
-    values = {}
-    for key, raw in cp.items(section):
-        if key not in known:
-            problems.append(f"[{section}] {key}: unknown key")
-            continue
-        values[key] = raw
-    for key in _REQUIRED.get(section, ()):
-        if key not in values:
-            problems.append(f"[{section}] {key}: missing required key")
-    return values
-
-
-def _parse_float(values, section, key, problems):
-    raw = values.get(key)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        problems.append(f"[{section}] {key}: not a number ({raw!r})")
-        return None
-
-
-def _parse_int(values, section, key, problems):
-    raw = values.get(key)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        problems.append(f"[{section}] {key}: not an integer ({raw!r})")
-        return None
-
-
-def _check_block(block, section, problems):
-    """Out-of-range block values are configuration errors, not runtime ones."""
-    try:
-        block.to_params()
-    except OptosteerError as exc:
-        problems.append(f"[{section}] {exc}")
+def _model_kwargs(block, names):
+    """Model keyword arguments of a block, Hz values scaled into rad/s."""
+    kwargs = {}
+    for key, name, hz in names:
+        value = getattr(block, key)
+        kwargs[name] = _TWO_PI * value if hz else value
+    return kwargs
 
 
 def parse_config(text: str) -> RunConfig:
@@ -226,103 +205,58 @@ def parse_config(text: str) -> RunConfig:
 
     problems = []
     for section in cp.sections():
-        if section not in ("physical", "reduced", "run", "output"):
+        if section not in _SECTIONS:
             problems.append(f"[{section}]: unknown section")
-
-    blocks = {}
-    for section in ("physical", "reduced"):
+    raw = {}
+    for section, keys in _SECTIONS.items():
         if cp.has_section(section):
-            blocks[section] = _read_section(cp, section, problems)
-    run_values = _read_section(cp, "run", problems) if cp.has_section("run") else {}
-    out_values = (
-        _read_section(cp, "output", problems) if cp.has_section("output") else {}
-    )
-    if "physical" in blocks and "reduced" in blocks:
+            raw[section] = values = dict(cp.items(section, raw=True))
+            for key in values:
+                if key not in keys:
+                    problems.append(f"[{section}] {key}: unknown key")
+            for key in _REQUIRED_KEYS[section]:
+                if key not in values:
+                    problems.append(f"[{section}] {key}: missing required key")
+    if "physical" in raw and "reduced" in raw:
         problems.append("exclusive blocks: give [physical] or [reduced], not both")
     if problems:
         raise ConfigError(problems)
 
-    reduced = physical = None
-    if "reduced" in blocks:
-        vals = blocks["reduced"]
-        numbers = {
-            k: _parse_float(vals, "reduced", k, problems) for k in _REQUIRED["reduced"]
-        }
-        if not problems:
-            reduced = ReducedBlock(**numbers)
-            _check_block(reduced, "reduced", problems)
-    if "physical" in blocks:
-        vals = blocks["physical"]
-        numbers = {
-            k: _parse_float(vals, "physical", k, problems)
-            for k in _REQUIRED["physical"]
-        }
-        for k in _OPTIONAL["physical"]:
-            if k in vals:
-                numbers[k] = _parse_float(vals, "physical", k, problems)
-        if not problems:
-            physical = PhysicalBlock(**numbers)
-            _check_block(physical, "physical", problems)
-
     kwargs = {}
-    if "mode" in run_values:
-        kwargs["mode"] = run_values["mode"]
-    if "panel" in run_values:
-        kwargs["panel"] = run_values["panel"]
-    for key in ("grid_start", "grid_stop", "epsilon", "gamma_t"):
-        value = _parse_float(run_values, "run", key, problems)
-        if value is not None:
-            kwargs[key] = value
-    points = _parse_int(run_values, "run", "grid_points", problems)
-    if points is not None:
-        kwargs["grid_points"] = points
-    if "format" in out_values:
-        kwargs["out_format"] = out_values["format"]
-    if "path" in out_values:
-        kwargs["out_path"] = out_values["path"]
+    for section, values in raw.items():
+        fields = {}
+        for key, field, convert, _ in _CONVERT_ORDER[section]:
+            if key in values:
+                try:
+                    fields[field] = convert(value := values[key])
+                except ValueError:
+                    problems.append(f"[{section}] {key}: {_NOT_A[convert]} ({value!r})")
+        if section not in _BLOCKS:
+            kwargs.update(fields)
+        elif not problems:
+            # Out-of-range block values are configuration errors too.
+            kwargs[section] = block = _BLOCKS[section](**fields)
+            try:
+                block.to_params()
+            except OptosteerError as exc:
+                problems.append(f"[{section}] {exc}")
     if problems:
         raise ConfigError(problems)
-
-    try:
-        return RunConfig(physical=physical, reduced=reduced, **kwargs)
-    except OptosteerError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError([str(exc)]) from exc
+    return RunConfig(**kwargs)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Inverse of parse_config: parse_config(render_config(cfg)) == cfg."""
     lines = []
-    if cfg.reduced is not None:
-        lines.append("[reduced]")
-        for field in dataclasses.fields(ReducedBlock):
-            lines.append(f"{field.name} = {getattr(cfg.reduced, field.name)!r}")
-        lines.append("")
-    if cfg.physical is not None:
-        lines.append("[physical]")
-        for field in dataclasses.fields(PhysicalBlock):
-            value = getattr(cfg.physical, field.name)
-            if value is not None:
-                lines.append(f"{field.name} = {value!r}")
-        lines.append("")
-    lines.append("[run]")
-    if cfg.mode is not None:
-        lines.append(f"mode = {cfg.mode}")
-    lines.append(f"grid_start = {cfg.grid_start!r}")
-    lines.append(f"grid_stop = {cfg.grid_stop!r}")
-    lines.append(f"grid_points = {cfg.grid_points}")
-    lines.append(f"epsilon = {cfg.epsilon!r}")
-    if cfg.gamma_t is not None:
-        lines.append(f"gamma_t = {cfg.gamma_t!r}")
-    if cfg.panel is not None:
-        lines.append(f"panel = {cfg.panel}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"format = {cfg.out_format}")
-    if cfg.out_path is not None:
-        lines.append(f"path = {cfg.out_path}")
-    lines.append("")
+    for section, keys in _SECTIONS.items():
+        source = getattr(cfg, section) if section in _BLOCKS else cfg
+        if source is not None:
+            lines.append(f"[{section}]")
+            for key, (field, _, _) in keys.items():
+                value = getattr(source, field)
+                if value is not None:
+                    lines.append(f"{key} = {value}")
+            lines.append("")
     return "\n".join(lines)
 
 
@@ -373,11 +307,17 @@ def _emit_regime(stream, report, out_format):
 
 
 def _reduced_from_config(cfg: RunConfig) -> ReducedParams:
+    """The run's reduced inputs; a [physical] block outside its regime is refused."""
     if cfg.reduced is not None:
         return cfg.reduced.to_params()
-    if cfg.physical is not None:
-        return reduce_params(cfg.physical.to_params())
-    raise ConfigError(["a [physical] or [reduced] block is required for this mode"])
+    if cfg.physical is None:
+        raise ConfigError(["a [physical] or [reduced] block is required for this mode"])
+    params = cfg.physical.to_params()
+    failing = [e.name for e in regime_check(params).entries if e.status == "fail"]
+    if failing:
+        raise ConfigError([f"[physical] outside the model's validity regime: "
+                           f"{', '.join(failing)} fail (see --mode regime)"])
+    return reduce_params(params)
 
 
 def _dispatch(cfg: RunConfig, stream):
@@ -385,36 +325,31 @@ def _dispatch(cfg: RunConfig, stream):
     if mode is None:
         raise ConfigError(["[run] mode: missing (or pass --mode)"])
 
-    if mode == "figure":
-        if cfg.panel is None:
-            raise ConfigError(["[run] panel: required for figure mode"])
-        sweep = figure_panels(cfg.panel, grid=cfg.grid(), epsilon=cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sweep.measures), cfg.out_format)
-        return
-
     if mode == "regime":
         if cfg.physical is None:
             raise ConfigError(["regime mode needs a [physical] block"])
-        _emit_regime(stream, regime_check(cfg.physical.to_params()), cfg.out_format)
-        return
+        return _emit_regime(stream, regime_check(cfg.physical.to_params()),
+                            cfg.out_format)
 
-    rp = _reduced_from_config(cfg)
-    if mode == "eval":
-        if cfg.gamma_t is None:
-            raise ConfigError(["[run] gamma_t: required for eval mode"])
-        sample = evaluate_measures(rp, cfg.gamma_t, cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sample), cfg.out_format)
-    elif mode == "sweep":
-        sweep = sweep_time(rp, cfg.grid(), cfg.epsilon)
-        _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sweep.measures), cfg.out_format)
-    elif mode == "stationary":
-        cm = stationary_covariance(rp)
-        g_ab, g_ba = steering_a_to_b(cm), steering_b_to_a(cm)
-        row = [cm.v11, cm.v33, cm.v13, g_ab, g_ba,
-               abs(g_ab - g_ba), renyi2_entanglement(cm)]
-        _emit_table(stream, STATIONARY_FIELDS, [row], cfg.out_format)
-    else:  # pragma: no cover - RunConfig already validated the mode
-        raise ConfigError([f"unsupported mode {mode!r}"])
+    if mode == "figure":
+        if cfg.panel is None:
+            raise ConfigError(["[run] panel: required for figure mode"])
+        sample = figure_panels(cfg.panel, grid=cfg.grid(), epsilon=cfg.epsilon).measures
+    else:
+        rp = _reduced_from_config(cfg)
+        if mode == "stationary":
+            cm = stationary_covariance(rp)
+            g_ab, g_ba = steering_a_to_b(cm), steering_b_to_a(cm)
+            row = [cm.v11, cm.v33, cm.v13, g_ab, g_ba,
+                   abs(g_ab - g_ba), renyi2_entanglement(cm)]
+            return _emit_table(stream, STATIONARY_FIELDS, [row], cfg.out_format)
+        if mode == "eval":
+            if cfg.gamma_t is None:
+                raise ConfigError(["[run] gamma_t: required for eval mode"])
+            sample = evaluate_measures(rp, cfg.gamma_t, cfg.epsilon)
+        else:  # sweep
+            sample = sweep_time(rp, cfg.grid(), cfg.epsilon).measures
+    _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sample), cfg.out_format)
 
 
 def run(cfg: RunConfig, out=None, err=None) -> int:
@@ -449,6 +384,7 @@ def _build_parser() -> _Parser:
         prog="optosteer",
         description="Dynamical Gaussian steering and Renyi-2 entanglement of "
         "two mechanical modes driven by two-mode squeezed light.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="path to an INI config document")
     parser.add_argument("--mode", choices=MODES, help="what to compute")
@@ -463,29 +399,18 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.config is not None:
+        # The flags given, by dest: each but "config" is a RunConfig field.
+        overrides = vars(_build_parser().parse_args(argv))
+        path = overrides.pop("config", None)
+        if path is None:
+            cfg = RunConfig(**overrides)
+        else:
             try:
-                with open(args.config, encoding="utf-8") as handle:
+                with open(path, encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as exc:
                 raise ConfigError([f"cannot read config: {exc}"]) from exc
-            cfg = parse_config(text)
-        else:
-            cfg = RunConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("mode", args.mode),
-                ("panel", args.panel),
-                ("out_format", args.out_format),
-                ("out_path", args.out_path),
-                ("epsilon", args.epsilon),
-            )
-            if value is not None
-        }
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            cfg = dataclasses.replace(parse_config(text), **overrides)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -73,6 +73,15 @@ _CLASS_BY_CODE = np.array(
 )
 
 
+def _contents_equal(a, b):
+    """``__eq__`` for dataclasses with array fields: np.array_equal per field,
+    so arrays compare by content instead of raising."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a))
+
+
 @dataclass(frozen=True)
 class TwoModeCovariance:
     """A real 4x4 covariance matrix in the (q1, p1, q2, p2) basis.
@@ -82,6 +91,8 @@ class TwoModeCovariance:
     """
 
     matrix: np.ndarray
+
+    __eq__ = _contents_equal
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -237,7 +248,9 @@ class StsColumns:
     @cached_property
     def _steering(self):
         """(G(A->B), G(B->A)) columns."""
-        return _sts_steering(self.v11, self.v33, self.v13, np)
+        # Overflow at huge squeezing surfaces as NonPhysicalState, not warnings.
+        with np.errstate(all="ignore"):
+            return _sts_steering(self.v11, self.v33, self.v13, np)
 
 
 @dataclass(frozen=True)
@@ -316,10 +329,26 @@ def _check_marginals(cm: TwoModeCovariance):
         raise NonPhysicalState("covariance matrix has a non-positive variance")
 
 
+def _log(x, xp):
+    """ln x of a measure's log argument, which is finite and positive for
+    every state that double precision resolves; NonPhysicalState otherwise
+    (at large squeezing the determinants overflow or cancel to garbage)."""
+    try:
+        y = xp.log(x)  # numpy: -inf or nan for x <= 0, under np.errstate
+    except ValueError:  # math.log of x <= 0
+        y = math.nan
+    if xp.any(y - y):  # y - y is nan exactly where y is not finite
+        raise NonPhysicalState(
+            "log argument of a measure is not finite and positive: "
+            "the state is not resolvable in double precision"
+        )
+    return y
+
+
 def _steering_value(det_measured, det_v, xp):
     """max[0, (1/2) ln(det V_m / (4 det V))], V_m the block of the measured
     mode; xp is numpy or FLOAT_MATH."""
-    return xp.maximum(0.0, 0.5 * xp.log(det_measured / (4.0 * det_v)))
+    return xp.maximum(0.0, 0.5 * _log(det_measured / (4.0 * det_v), xp))
 
 
 def _sts_steering(v11, v33, v13, xp):
@@ -400,7 +429,7 @@ def _renyi2_entangled(s, d, g, xp):
     rad = (xp.maximum((4.0 * g - 1.0) ** 2 - 16.0 * d * d, 0.0)
            * xp.maximum(s * s - d * d - g, 0.0))
     ratio = ((4.0 * g + 1.0) * s - xp.sqrt(rad)) / (4.0 * (d * d + g))
-    return xp.maximum(0.0, xp.log(ratio))
+    return xp.maximum(0.0, _log(ratio, xp))
 
 
 def renyi2_entanglement(cm):
@@ -419,10 +448,14 @@ def renyi2_entanglement(cm):
     NonPhysicalState rather than extrapolating.
     """
     if isinstance(cm, StsColumns):
-        s, d, g, entangled = _renyi2_terms(cm.v11, cm.v33, cm.v13, np)
-        # Separable entries may leave the formula's domain; where() drops them.
+        # Separable entries may lie outside the formula's domain: skip them.
         with np.errstate(all="ignore"):
-            return np.where(entangled, _renyi2_entangled(s, d, g, np), 0.0)
+            s, d, g, entangled = _renyi2_terms(cm.v11, cm.v33, cm.v13, np)
+            e2 = np.zeros(entangled.shape)
+            e2[entangled] = _renyi2_entangled(
+                s[entangled], d[entangled], g[entangled], np
+            )
+        return e2
     sts = cm._sts
     if sts is None:
         _require_sts(cm)

@@ -36,12 +36,27 @@ def thermal_occupation(temperature, omega_m) -> float:
         raise InvalidInput("mechanical frequency must be positive")
     if temperature < 0.0:
         raise InvalidInput("temperature must be >= 0")
-    if temperature == 0.0:
+    kt = KB * temperature
+    if kt == 0.0:  # T = 0, or kB*T below the smallest double
         return 0.0
-    x = HBAR * omega_m / (KB * temperature)
+    x = HBAR * omega_m / kt
     if x > 700.0:  # exp overflow; occupation underflows to zero anyway
         return 0.0
+    if x < 1e-300:  # 1/(e^x - 1) beyond 1e300, at the edge of overflow
+        raise InvalidInput("temperature too high for the mechanical frequency: "
+                           "the thermal occupation overflows")
     return 1.0 / math.expm1(x)
+
+
+def _check_squeezing(name, r):
+    """A squeezing parameter must be >= 0 with sinh(r)**2 (the noise moment
+    N) finite."""
+    if not 0.0 <= r < math.inf:
+        raise InvalidInput(f"{name} must be >= 0 and finite")
+    try:
+        math.sinh(r) ** 2
+    except OverflowError:
+        raise InvalidInput(f"{name} is too large: sinh({name})**2 overflows") from None
 
 
 @dataclass(frozen=True)
@@ -81,10 +96,12 @@ class ArmParams:
             raise InvalidInput("power must be >= 0 and finite")
         if self.temperature is None and self.n_th is None:
             raise InvalidInput("one of temperature or n_th is required")
-        if self.temperature is not None and self.temperature < 0.0:
-            raise InvalidInput("temperature must be >= 0")
-        if self.n_th is not None and self.n_th < 0.0:
-            raise InvalidInput("n_th must be >= 0")
+        for name in ("temperature", "n_th"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise InvalidInput(f"{name} must be >= 0")
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite")
         if self.temperature is not None and self.n_th is not None:
             derived = thermal_occupation(self.temperature, self.omega_m)
             scale = max(abs(self.n_th), abs(derived))
@@ -110,8 +127,7 @@ class PhysicalParams:
     squeezing: float
 
     def __post_init__(self):
-        if self.squeezing < 0.0 or not math.isfinite(self.squeezing):
-            raise InvalidInput("squeezing must be >= 0 and finite")
+        _check_squeezing("squeezing", self.squeezing)
         w1, w2 = self.arm1.omega_m, self.arm2.omega_m
         if abs(w1 - w2) > 1e-12 * max(w1, w2):
             raise InvalidInput(
@@ -199,10 +215,11 @@ class ReducedParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("c1", "c2", "nth1", "nth2", "r"):
+        for name in ("c1", "c2", "nth1", "nth2"):
             value = getattr(self, name)
             if value < 0.0 or not math.isfinite(value):
                 raise InvalidInput(f"{name} must be >= 0 and finite")
+        _check_squeezing("r", self.r)
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise InvalidInput("gamma must be positive and finite")
 

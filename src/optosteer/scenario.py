@@ -24,6 +24,7 @@ from .gaussian import (
     SteeringClass,
     StsColumns,
     classify_steering,
+    _contents_equal,
     renyi2_entanglement,
     steering_a_to_b,
     steering_b_to_a,
@@ -54,6 +55,8 @@ class MeasureSample:
     e2: float
     steering_class: SteeringClass
 
+    __eq__ = _contents_equal
+
     @property
     def g_delta(self) -> float:
         """Steering asymmetry, recomputed so it can never drift out of sync."""
@@ -83,6 +86,8 @@ class TimeSweep:
     params: ReducedParams
     epsilon: float
     measures: MeasureSample
+
+    __eq__ = _contents_equal
 
     @property
     def times(self) -> np.ndarray:

@@ -4,10 +4,15 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from optosteer import ConfigError, NonPhysicalState
+from optosteer import ConfigError, InvalidInput, NonPhysicalState
 from optosteer.cli import (
+    FORMATS,
     MAX_GRID_POINTS,
+    MODES,
+    PhysicalBlock,
     ReducedBlock,
     RunConfig,
     main,
@@ -15,6 +20,8 @@ from optosteer.cli import (
     render_config,
     run,
 )
+from optosteer.model import thermal_occupation
+from optosteer.scenario import PANEL_PARAMS
 
 REDUCED_DOC = """
 [reduced]
@@ -62,6 +69,20 @@ def run_to_strings(cfg):
     out, err = io.StringIO(), io.StringIO()
     code = run(cfg, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def main_with_doc(tmp_path, capsys, doc):
+    """Exit status, stdout and stderr of the CLI run on a config document."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(doc)
+    code = main(["--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def with_mode(doc, mode):
+    run_lines = f"mode = {mode}" + ("\ngamma_t = 0.5" if mode == "eval" else "")
+    return doc.replace("mode = regime", run_lines).replace("mode = sweep", run_lines)
 
 
 class TestParseConfig:
@@ -154,6 +175,80 @@ class TestParseConfig:
             parse_config(doc)
         assert any("grid_points" in p for p in excinfo.value.problems)
 
+    @pytest.mark.parametrize("mode", ["sweep", "eval", "regime"])
+    @pytest.mark.parametrize("line", ["nth1 = nan", "temp1_k = nan"])
+    def test_non_finite_physical_occupation_exits_one(self, tmp_path, capsys,
+                                                      mode, line):
+        doc = with_mode(PHYSICAL_DOC.replace("nth1 = 0.5", line), mode)
+        code, out, err = main_with_doc(tmp_path, capsys, doc)
+        assert (code, out) == (1, "")
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("block", ["reduced", "physical"])
+    def test_squeezing_whose_noise_moment_overflows_exits_one(self, tmp_path,
+                                                              capsys, block):
+        doc = REDUCED_DOC if block == "reduced" else with_mode(PHYSICAL_DOC, "sweep")
+        doc = doc.replace("r = 1", "r = 400")
+        code, out, err = main_with_doc(tmp_path, capsys, doc)
+        assert (code, out) == (1, "")
+        assert f"[{block}]" in err and "too large" in err
+
+
+class TestRegimeGate:
+    """A [physical] block whose regime check fails is refused in every
+    computing mode; regime mode still reports it."""
+
+    DOC = PHYSICAL_DOC.replace("power1_w = 5e-3", "power1_w = 5")
+
+    @pytest.mark.parametrize("mode", ["sweep", "eval", "stationary"])
+    def test_failing_regime_is_a_config_error(self, tmp_path, capsys, mode):
+        code, out, err = main_with_doc(tmp_path, capsys, with_mode(self.DOC, mode))
+        assert (code, out) == (1, "")
+        assert "validity regime" in err and "weak_coupling_1" in err
+
+    def test_regime_mode_reports_failure(self, tmp_path, capsys):
+        code, out, err = main_with_doc(tmp_path, capsys, self.DOC)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "overall,,fail"
+
+    def test_passing_regime_still_runs(self, tmp_path, capsys):
+        code, out, _ = main_with_doc(tmp_path, capsys, with_mode(PHYSICAL_DOC, "eval"))
+        assert code == 0 and out.startswith("gamma_t,")
+
+
+class TestPrecisionLimit:
+    """States whose measures double precision cannot resolve exit 2 with no
+    data, never a traceback or a nan row."""
+
+    DOC = """
+[reduced]
+c1 = 24.208324507649493
+c2 = 20.7809039848931
+nth1 = 0
+nth2 = 0
+r = 28.262588609210297
+gamma_hz = 1
+
+[run]
+mode = sweep
+grid_start = 0
+grid_stop = 1.1952715755823119e-08
+grid_points = 2
+"""
+
+    def test_sweep_exits_two(self, tmp_path, capsys):
+        code, out, err = main_with_doc(tmp_path, capsys, self.DOC)
+        assert (code, out) == (2, "")
+        assert "double precision" in err
+
+    @pytest.mark.parametrize("r", [90, 130, 178])
+    @pytest.mark.parametrize("mode", ["sweep", "eval", "stationary"])
+    def test_huge_squeezing_exits_two(self, tmp_path, capsys, r, mode):
+        doc = with_mode(REDUCED_DOC.replace("r = 1", f"r = {r}"), mode)
+        code, out, err = main_with_doc(tmp_path, capsys, doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestRenderRoundTrip:
     def test_reduced_round_trip(self):
@@ -184,6 +279,67 @@ class TestRenderRoundTrip:
             mode="sweep",
             reduced=ReducedBlock(1 / 3, 2 / 7, 0.1, 0.2, 1.1, 139.97),
         )
+        assert parse_config(render_config(cfg)) == cfg
+
+
+# Finite floats over the whole double range, subnormals and awkward
+# mantissas included; the bounds keep 2*pi*value and sinh(r)**2 finite.
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+SQUEEZING = st.floats(min_value=0.0, max_value=355.0)
+
+
+@st.composite
+def physical_blocks(draw):
+    fields = {name: draw(POSITIVE) for name in (
+        "cavity_freq1_hz", "cavity_freq2_hz", "laser_freq1_hz", "laser_freq2_hz",
+        "length1_m", "length2_m", "kappa1_hz", "kappa2_hz", "mass1_kg", "mass2_kg",
+        "mech_freq_hz", "gamma_hz")}
+    fields.update(power1_w=draw(NONNEGATIVE), power2_w=draw(NONNEGATIVE),
+                  r=draw(SQUEEZING))
+    for j in (1, 2):
+        # each arm's bath: an occupation, a temperature, or both in agreement
+        given = draw(st.sampled_from(["nth", "temp", "both"]))
+        if given != "temp":
+            fields[f"nth{j}"] = draw(NONNEGATIVE)
+        if given != "nth":
+            fields[f"temp{j}_k"] = t = draw(NONNEGATIVE)
+        if given == "both":
+            try:
+                n = thermal_occupation(t, 2 * math.pi * fields["mech_freq_hz"])
+            except InvalidInput:  # occupation beyond a double: not a valid block
+                assume(False)
+            fields[f"nth{j}"] = n
+    return PhysicalBlock(**fields)
+
+
+@st.composite
+def run_configs(draw):
+    optional = lambda strategy: st.none() | strategy  # noqa: E731
+    block = draw(st.sampled_from(["reduced", "physical", None]))
+    start = draw(st.floats(min_value=0.0, max_value=1e299))
+    path = st.text("abXY09._-/ #;%=:", max_size=20).map(str.strip)
+    return RunConfig(
+        mode=draw(optional(st.sampled_from(MODES))),
+        physical=draw(physical_blocks()) if block == "physical" else None,
+        reduced=ReducedBlock(*(draw(NONNEGATIVE) for _ in range(4)),
+                             draw(SQUEEZING), draw(POSITIVE))
+        if block == "reduced" else None,
+        grid_start=start,
+        grid_stop=draw(st.floats(min_value=start, max_value=1e300, exclude_min=True)),
+        grid_points=draw(st.integers(2, MAX_GRID_POINTS)),
+        epsilon=draw(POSITIVE),
+        gamma_t=draw(optional(NONNEGATIVE)),
+        panel=draw(optional(st.sampled_from(list(PANEL_PARAMS)))),
+        out_format=draw(st.sampled_from(FORMATS)),
+        out_path=draw(optional(path)),
+    )
+
+
+class TestRenderPropertyRoundTrip:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(run_configs())
+    def test_parse_inverts_render(self, cfg):
         assert parse_config(render_config(cfg)) == cfg
 
 

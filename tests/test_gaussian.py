@@ -48,6 +48,10 @@ def steering_oracle(m, direction):
 
 
 class TestConstructionAndValidation:
+    def test_equality_compares_contents(self):
+        assert TwoModeCovariance.vacuum() == TwoModeCovariance.vacuum()
+        assert TwoModeCovariance.vacuum() != TwoModeCovariance(np.eye(4))
+
     def test_vacuum_is_bona_fide_with_nu_half(self):
         report = validate_cm(TwoModeCovariance.vacuum())
         assert report.symmetric and report.positive_definite and report.bona_fide

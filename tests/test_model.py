@@ -48,6 +48,13 @@ class TestThermalOccupation:
         with pytest.raises(InvalidInput):
             thermal_occupation(-1.0, 1.0)
 
+    def test_extremes_of_the_double_range(self):
+        # kB*T underflows to zero: as cold as T = 0
+        assert thermal_occupation(5e-324, 2 * math.pi * 947e3) == 0.0
+        # hbar*omega/(kB*T) underflows: the occupation is beyond a double
+        with pytest.raises(InvalidInput, match="overflows"):
+            thermal_occupation(1e300, 1e-300)
+
 
 class TestMeanFields:
     def test_no_drive_gives_zero_amplitudes(self):
@@ -171,6 +178,21 @@ class TestValidation:
         with pytest.raises(InvalidInput):
             ArmParams(omega_c=1.0, omega_l=1.0, length=1.0, kappa=1.0,
                       power=1.0, mass=-1.0, omega_m=1.0, gamma=1.0, n_th=0.0)
+
+    @pytest.mark.parametrize("field", ["n_th", "temperature"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_occupation_rejected(self, field, value):
+        with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+            ArmParams(omega_c=1.0, omega_l=1.0, length=1.0, kappa=1.0, power=1.0,
+                      mass=1.0, omega_m=1.0, gamma=1.0, **{field: value})
+
+    def test_squeezing_whose_noise_moment_overflows_rejected(self):
+        # N = sinh(r)**2 overflows a double past r ~ 355.4
+        assert math.isfinite(ReducedParams(1.0, 1.0, 0.0, 0.0, 355.0, 1.0).N)
+        with pytest.raises(InvalidInput, match="r is too large"):
+            ReducedParams(1.0, 1.0, 0.0, 0.0, 400.0, 1.0)
+        with pytest.raises(InvalidInput, match="squeezing is too large"):
+            make_setup(squeezing=400.0)
 
     def test_occupation_source_required(self):
         with pytest.raises(InvalidInput):

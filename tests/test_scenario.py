@@ -5,6 +5,7 @@ import pytest
 
 from optosteer import (
     InvalidInput,
+    NonPhysicalState,
     ReducedParams,
     SteeringClass,
     detect_birth,
@@ -108,6 +109,14 @@ class TestColumns:
         assert [s.steering_class for s in samples] == list(sweep.measures.steering_class)
         assert all(type(s.g_ab) is float and type(s.e2) is float for s in samples)
 
+    def test_equality_compares_contents(self):
+        a = sweep_time(PANEL_PARAMS["2a"], grid_n(11))
+        b = sweep_time(PANEL_PARAMS["2a"], grid_n(11))
+        assert a == b and a.measures == b.measures
+        c = sweep_time(PANEL_PARAMS["2a"], grid_n(12))
+        assert a != c and a.measures != c.measures
+        assert a != sweep_time(PANEL_PARAMS["2b"], grid_n(11))
+
     def test_columns_are_read_only(self):
         sweep = figure_panels("2a", grid=grid_n(11))
         with pytest.raises(ValueError):
@@ -115,6 +124,33 @@ class TestColumns:
         copy = sweep.column("g_ab")
         copy[0] = 1.0  # the accessors hand out copies
         assert sweep.measures.g_ab[0] == 0.0
+
+
+class TestPrecisionLimit:
+    """At large squeezing the entries of V grow like e^{2r}, and the
+    determinants the measures take the log of overflow or cancel to garbage.
+    Such a state is refused with NonPhysicalState, on the float and the
+    column path alike, instead of a bare math error or a nan entry."""
+
+    RP = ReducedParams(c1=24.208324507649493, c2=20.7809039848931, nth1=0.0,
+                       nth2=0.0, r=28.262588609210297, gamma=1.0)
+    T = 1.1952715755823119e-08
+
+    def test_single_time_refused(self):
+        with pytest.raises(NonPhysicalState, match="double precision"):
+            evaluate_measures(self.RP, self.T)
+
+    def test_sweep_refused(self):
+        with pytest.raises(NonPhysicalState, match="double precision"):
+            sweep_time(self.RP, [0.0, self.T])
+
+    @pytest.mark.parametrize("r", [90.0, 120.0, 150.0, 178.0, 300.0])
+    def test_overflowing_determinants_refused(self, r):
+        rp = ReducedParams(c1=15.0, c2=35.0, nth1=0.5, nth2=1.0, r=r, gamma=1.0)
+        for run in (lambda: evaluate_measures(rp, 0.5),
+                    lambda: sweep_time(rp, grid_n(11))):
+            with pytest.raises(NonPhysicalState):
+                run()
 
 
 class TestBirthDetection:
