@@ -3,10 +3,11 @@
 Two independent routes to V(t) are provided and cross-checked against each
 other: the closed-form single-exponential solution of the decoupled moment
 equations, and a fixed-step classical RK4 integrator for the Lyapunov
-equation dV/dt = S V + V S^T + D.  Both use the initial condition V(0) = I
-(every quadrature variance 1); time is handled dimensionlessly as gamma*t,
-the drift and diffusion matrices scale linearly with gamma so the trajectory
-depends on gamma only through that product.
+equation dV/dt = S V + V S^T + D, whose substeps over each grid interval
+are composed into one elementwise affine map.  Both use the initial
+condition V(0) = I (every quadrature variance 1); time is handled
+dimensionlessly as gamma*t, the drift and diffusion matrices scale linearly
+with gamma so the trajectory depends on gamma only through that product.
 
 With Gamma_a_j = C_j gamma and Gamma_j = Gamma_a_j + gamma:
 
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntegrationError, InvalidInput
-from .gaussian import FLOAT_MATH, StsColumns, TwoModeCovariance
+from .gaussian import FLOAT_MATH, StsColumns, TwoModeCovariance, _contents_equal
 from .model import ReducedParams
 
 # Fixed-step size (in gamma*t) of the RK4 oracle and the elementwise change
@@ -63,21 +65,44 @@ class DriftDiffusion:
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """Covariance matrices sampled on a strictly increasing gamma*t grid."""
+    """Covariance matrices sampled on a strictly increasing gamma*t grid.
+
+    ``matrices`` holds them as one read-only (n, 4, 4) array; ``states``
+    builds one TwoModeCovariance per grid point on first use.  An RK4 run
+    also records how it was accepted: ``halvings`` (step halvings taken),
+    ``step`` (the accepted step) and ``last_change`` (the largest elementwise
+    change of that last halving).
+    """
 
     times: np.ndarray
-    states: tuple[TwoModeCovariance, ...]
+    matrices: np.ndarray
+    halvings: int
+    step: float
+    last_change: float
+
+    __eq__ = _contents_equal
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.states):
-            raise InvalidInput("times and states must have matching lengths")
+        t = np.array(self.times, dtype=float)
+        m = np.array(self.matrices, dtype=float)
+        if t.ndim != 1 or m.shape != (len(t), 4, 4):
+            raise InvalidInput("times and (n, 4, 4) matrices must have matching lengths")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise InvalidInput("times must be strictly increasing")
+        if not np.isfinite(m).all():
+            raise InvalidInput("covariance matrices have non-finite entries")
+        t.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "matrices", m)
+
+    @cached_property
+    def states(self) -> tuple[TwoModeCovariance, ...]:
+        """The trajectory as one TwoModeCovariance per grid point."""
+        return tuple(map(TwoModeCovariance, self.matrices))
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
 
     def __iter__(self):
         return iter(zip(self.times, self.states))
@@ -156,30 +181,54 @@ def stationary_covariance(rp: ReducedParams) -> TwoModeCovariance:
     return TwoModeCovariance.from_standard_form(v11, v33, v13)
 
 
+def _rk4_map(rate, diffusion, h, n):
+    """n classical RK4 substeps of length h on dV/dtau = rate * V + diffusion,
+    as one elementwise affine map V -> A * V + B.
+
+    For this linear equation one substep is exactly V -> a * V + b with
+    z = h * rate, a = 1 + z + z^2/2 + z^3/6 + z^4/24 (RK4's stability
+    polynomial) and b = h (1 + z/2 + z^2/6 + z^3/24) * diffusion.  The n-fold
+    composition is taken by binary powering, (a, b) -> (a a, a b + b), over
+    the bits of n: O(log n) elementwise products.
+    """
+    z = h * rate
+    p = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
+    a, b = 1.0 + z * p, h * p * diffusion
+    big_a, big_b = np.ones_like(a), np.zeros_like(b)
+    while True:
+        if n & 1:
+            big_a, big_b = a * big_a, a * big_b + b
+        n >>= 1
+        if not n:
+            return big_a, big_b
+        a, b = a * a, a * b + b
+
+
 def _rk4_run(rate, diffusion, grid, v0, step):
-    """Integrate dV/dtau = rate * V + diffusion (elementwise product).
+    """Integrate dV/dtau = rate * V + diffusion (elementwise product) onto
+    the grid, starting from v0 at tau = 0; an (n, 4, 4) array.
 
     For a diagonal drift matrix S this is algebraically identical to
     S V + V S^T + D because (S V + V S^T)_ij = (S_ii + S_jj) V_ij; the two
     forms round differently.
-    Each grid interval is covered by equal substeps no longer than `step`.
+    Each grid interval is covered by equal substeps no longer than `step`,
+    applied as one composed map (see _rk4_map), built once per interval
+    length.
     """
-    out = []
-    v = v0.copy()
+    out = np.empty((len(grid), 4, 4))
+    maps = {}
+    v = v0
     t = 0.0
-    for target in grid:
+    for i, target in enumerate(map(float, grid)):
         span = target - t
         if span > 0.0:
-            n = max(1, math.ceil(span / step))
-            h = span / n
-            for _ in range(n):
-                k1 = rate * v + diffusion
-                k2 = rate * (v + 0.5 * h * k1) + diffusion
-                k3 = rate * (v + 0.5 * h * k2) + diffusion
-                k4 = rate * (v + h * k3) + diffusion
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if span not in maps:
+                n = max(1, math.ceil(span / step))
+                maps[span] = _rk4_map(rate, diffusion, span / n, n)
+            a, b = maps[span]
+            v = a * v + b
             t = target
-        out.append(v.copy())
+        out[i] = v
     return out
 
 
@@ -195,29 +244,33 @@ def covariance_ode(
     Fixed-step classical RK4 with an automated halving check: the step is
     halved until a further halving changes no element by more than step_tol;
     failing to converge within a few halvings raises IntegrationError.  The
-    initial condition defaults to the identity matrix.
+    initial condition defaults to the identity matrix; a non-finite or
+    non-4x4 initial condition, a step outside (0, 1] or a step_tol that is
+    negative or not finite raises InvalidInput before any integration.
     """
     grid = time_grid(grid)
     if not (0.0 < step <= 1.0):
         raise InvalidInput("step must be in (0, 1]")
+    if not (0.0 <= step_tol < math.inf):
+        raise InvalidInput("step_tol must be finite and >= 0")
+    v0 = np.eye(4) if initial is None else TwoModeCovariance(initial).matrix
 
     dd = build_drift_diffusion(rp)
     s_diag = np.diag(dd.drift) / rp.gamma
     rate = s_diag[:, None] + s_diag[None, :]
     diffusion = dd.diffusion / rp.gamma
-    v0 = np.eye(4) if initial is None else np.asarray(initial, dtype=float).copy()
-    if v0.shape != (4, 4):
-        raise InvalidInput("initial condition must be 4x4")
 
-    coarse = _rk4_run(rate, diffusion, grid, v0, step)
-    for _ in range(MAX_HALVINGS):
-        step /= 2.0
-        fine = _rk4_run(rate, diffusion, grid, v0, step)
-        change = max(np.max(np.abs(a - b)) for a, b in zip(coarse, fine))
-        if change <= step_tol:
-            states = tuple(TwoModeCovariance(m) for m in fine)
-            return CovarianceTrajectory(grid, states)
-        coarse = fine
+    # A step beyond RK4's stability limit overflows; that run holds inf or
+    # nan, so its change is not <= step_tol and it counts as not converged.
+    with np.errstate(all="ignore"):
+        coarse = _rk4_run(rate, diffusion, grid, v0, step)
+        for halvings in range(1, MAX_HALVINGS + 1):
+            step /= 2.0
+            fine = _rk4_run(rate, diffusion, grid, v0, step)
+            change = float(np.max(np.abs(coarse - fine)))
+            if change <= step_tol:
+                return CovarianceTrajectory(grid, fine, halvings, step, change)
+            coarse = fine
     raise IntegrationError(
         f"step halving did not converge below {step_tol:g} "
         f"(last change {change:.3e} at step {step:g})"

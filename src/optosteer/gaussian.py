@@ -461,7 +461,14 @@ def renyi2_entanglement(cm):
         _require_sts(cm)
         sts = float(cm.v11), float(cm.v33), float(cm.v13)
     s, d, g, entangled = _renyi2_terms(*sts, FLOAT_MATH)
-    return _renyi2_entangled(s, d, g, FLOAT_MATH) if entangled else 0.0
+    if not entangled:
+        return 0.0
+    try:
+        return _renyi2_entangled(s, d, g, FLOAT_MATH)
+    except ArithmeticError as exc:  # float ** overflows, or 4(d^2+g) cancels to 0
+        raise NonPhysicalState(
+            "E2 is not resolvable in double precision for this state"
+        ) from exc
 
 
 def classify_steering(cm, epsilon=1e-9):

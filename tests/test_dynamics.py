@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,11 +16,53 @@ from optosteer import (
     stationary_covariance,
     validate_cm,
 )
-from optosteer.dynamics import _rk4_run
+from optosteer.dynamics import DEFAULT_STEP, STEP_CHECK_TOL, _rk4_run
 from optosteer.scenario import PANEL_PARAMS
 from conftest import random_reduced
 
 GAMMA = 2 * math.pi * 140.0
+
+
+def textbook_rk4(rate, diffusion, grid, v0, step):
+    """Classical four-stage RK4 on dV/dtau = rate * V + diffusion, one
+    substep at a time, as the reference for _rk4_run's composed maps."""
+    out = []
+    v = v0.copy()
+    t = 0.0
+    for target in grid:
+        span = target - t
+        if span > 0.0:
+            n = max(1, math.ceil(span / step))
+            h = span / n
+            for _ in range(n):
+                k1 = rate * v + diffusion
+                k2 = rate * (v + 0.5 * h * k1) + diffusion
+                k3 = rate * (v + 0.5 * h * k2) + diffusion
+                k4 = rate * (v + h * k3) + diffusion
+                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = target
+        out.append(v.copy())
+    return np.array(out)
+
+
+def assert_close_to_scale(got, ref, rtol):
+    """Each matrix agrees with its reference to rtol times its largest entry."""
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
+def lyapunov_by_expm(rp, grid, v0):
+    """Third route: V(t) = e^{St} (V0 - V_inf) e^{St}^T + V_inf with V_inf
+    from scipy's Lyapunov solver and e^{St} from scipy's expm."""
+    linalg = pytest.importorskip("scipy.linalg")
+    dd = build_drift_diffusion(rp)
+    s, d = dd.drift / rp.gamma, dd.diffusion / rp.gamma
+    v_inf = linalg.solve_continuous_lyapunov(s, -d)
+    out = []
+    for t in grid:
+        e = linalg.expm(s * t)
+        out.append(e @ (v0 - v_inf) @ e.T + v_inf)
+    return np.array(out)
 
 
 def rp_of(c1, c2, nth1, nth2, r, gamma=GAMMA):
@@ -242,3 +286,116 @@ class TestOdeOracle:
         traj = covariance_ode(rp, np.linspace(0.0, 1.0, 5))
         assert len(traj) == 5
         assert np.all(np.diff(traj.times) > 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+    def test_one_interval_matches_textbook_rk4(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(50):
+            rate = -(10.0 ** rng.uniform(-2.0, 1.5, (4, 4)))
+            diffusion = rng.uniform(-5.0, 5.0, (4, 4))
+            v0 = rng.uniform(-3.0, 3.0, (4, 4))
+            span = float(rng.uniform(0.01, 2.0))
+            step = span / n * (1.0 + 1e-9)  # ceil(span / step) == n
+            grid = np.array([span])
+            assert_close_to_scale(
+                _rk4_run(rate, diffusion, grid, v0, step),
+                textbook_rk4(rate, diffusion, grid, v0, step),
+                1e-13,
+            )
+
+    def test_grid_of_differing_spans_matches_textbook_rk4(self):
+        rng = np.random.default_rng(41)
+        grid = np.array([0.0, 0.013, 0.05, 0.0500001, 0.3, 0.31, 1.0, 1.5])
+        for _ in range(50):
+            rate = -(10.0 ** rng.uniform(-2.0, 1.5, (4, 4)))
+            diffusion = rng.uniform(-5.0, 5.0, (4, 4))
+            v0 = rng.uniform(-3.0, 3.0, (4, 4))
+            assert_close_to_scale(
+                _rk4_run(rate, diffusion, grid, v0, 0.01),
+                textbook_rk4(rate, diffusion, grid, v0, 0.01),
+                1e-13,
+            )
+
+    def test_uneven_grid_matches_closed_form(self):
+        for rp in PANEL_PARAMS.values():
+            traj = covariance_ode(rp, [0.0, 1e-3, 50.0])
+            for t, state in traj:
+                ref = covariance_closed_form(rp, t)
+                assert np.max(np.abs(state.matrix - ref.matrix)) < 1e-8
+
+    def test_equilibrium_start_on_an_uneven_grid_above_zero(self):
+        for rp in PANEL_PARAMS.values():
+            v_inf = stationary_covariance(rp).matrix
+            traj = covariance_ode(rp, [0.25, 0.2500001, 40.0], initial=v_inf)
+            assert np.max(np.abs(traj.matrices - v_inf)) < 1e-10
+
+    def test_states_view_is_read_only_and_equals_the_array(self):
+        traj = covariance_ode(PANEL_PARAMS["2b"], np.linspace(0.0, 1.0, 11))
+        assert traj.matrices.shape == (11, 4, 4)
+        assert not traj.matrices.flags.writeable
+        assert not traj.times.flags.writeable
+        with pytest.raises(ValueError):
+            traj.matrices[0, 0, 0] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            traj.states = ()
+        assert isinstance(traj.states, tuple)
+        assert len(traj.states) == len(traj)
+        for i, (t, state) in enumerate(traj):
+            assert t == traj.times[i]
+            assert state is traj.states[i]
+            assert np.array_equal(state.matrix, traj.matrices[i])
+            assert not state.matrix.flags.writeable
+
+    def test_run_diagnostics(self):
+        traj = covariance_ode(PANEL_PARAMS["2a"], np.linspace(0.0, 5.0, 501))
+        assert traj.halvings == 1
+        assert traj.step == DEFAULT_STEP / 2 == 5e-5
+        assert 0.0 <= traj.last_change <= STEP_CHECK_TOL
+
+    def test_stiff_rates_converge_without_numpy_warnings(self):
+        # the first steps are beyond RK4's stability limit and overflow
+        rp = ReducedParams(c1=1e5, c2=2e4, nth1=1, nth2=1, r=1, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = covariance_ode(rp, [0.05, 0.1])
+        assert traj.halvings >= 2
+        for t, state in traj:
+            ref = covariance_closed_form(rp, t)
+            assert np.max(np.abs(state.matrix - ref.matrix)) < 1e-8
+
+    @pytest.mark.parametrize("kwargs", [
+        {"initial": np.full((4, 4), math.nan)},
+        {"initial": np.eye(3)},
+        {"step_tol": math.nan},
+        {"step_tol": math.inf},
+        {"step_tol": -1.0},
+    ])
+    def test_bad_inputs_refused_before_integrating(self, kwargs, monkeypatch):
+        import optosteer.dynamics as dyn
+
+        def never(*args):
+            raise AssertionError("integrated before validating its inputs")
+
+        monkeypatch.setattr(dyn, "_rk4_run", never)
+        with pytest.raises(InvalidInput):
+            covariance_ode(PANEL_PARAMS["2a"], [0.5, 1.0], **kwargs)
+
+
+class TestThirdRoute:
+    """scipy's expm and Lyapunov solver against both package routes."""
+
+    def test_panels_agree_with_closed_form_and_oracle(self):
+        grid = np.linspace(0.0, 5.0, 501)
+        for rp in PANEL_PARAMS.values():
+            ref = lyapunov_by_expm(rp, grid, np.eye(4))
+            closed = np.array([covariance_closed_form(rp, t).matrix for t in grid])
+            assert np.max(np.abs(closed - ref)) < 1e-12
+            assert np.max(np.abs(covariance_ode(rp, grid).matrices - ref)) < 1e-11
+
+    def test_oracle_from_another_initial_state(self):
+        grid = [0.25, 0.2500001, 3.0]
+        v0 = stationary_covariance(PANEL_PARAMS["3d"]).matrix
+        for key in ("2a", "3a", "3-inset"):
+            rp = PANEL_PARAMS[key]
+            traj = covariance_ode(rp, grid, initial=v0)
+            assert np.max(np.abs(traj.matrices - lyapunov_by_expm(rp, grid, v0))) < 1e-11

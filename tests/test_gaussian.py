@@ -220,6 +220,13 @@ class TestRenyi2:
         with pytest.raises(NonPhysicalState):
             renyi2_entanglement(cm)
 
+    @pytest.mark.parametrize("r", [20.0, 100.0])
+    def test_unresolvable_float_state_is_non_physical(self, r):
+        # r = 20: g cancels so 4(d^2 + g) is 0; r = 100: (4g - 1)^2 overflows
+        cm = TwoModeCovariance.squeezed_thermal(r, 0.1, 0.2)
+        with pytest.raises(NonPhysicalState):
+            renyi2_entanglement(cm)
+
     def test_steering_bounded_by_entanglement(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
