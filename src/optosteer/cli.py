@@ -14,16 +14,20 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import stationary_covariance
+from .dynamics import _stationary_elements
 from .errors import ConfigError, OptosteerError
-from .gaussian import renyi2_entanglement, steering_a_to_b, steering_b_to_a
+from .gaussian import StsColumns, renyi2_entanglement, steering_a_to_b, steering_b_to_a
 from .model import (
     ArmParams,
     PhysicalParams,
@@ -338,10 +342,10 @@ def _dispatch(cfg: RunConfig, stream):
     else:
         rp = _reduced_from_config(cfg)
         if mode == "stationary":
-            cm = stationary_covariance(rp)
-            g_ab, g_ba = steering_a_to_b(cm), steering_b_to_a(cm)
-            row = [cm.v11, cm.v33, cm.v13, g_ab, g_ba,
-                   abs(g_ab - g_ba), renyi2_entanglement(cm)]
+            state = StsColumns(*_stationary_elements(rp))
+            g_ab, g_ba = steering_a_to_b(state), steering_b_to_a(state)
+            row = [state.v11, state.v33, state.v13, g_ab, g_ba,
+                   abs(g_ab - g_ba), renyi2_entanglement(state)]
             return _emit_table(stream, STATIONARY_FIELDS, [row], cfg.out_format)
         if mode == "eval":
             if cfg.gamma_t is None:
@@ -352,14 +356,56 @@ def _dispatch(cfg: RunConfig, stream):
     _emit_table(stream, SAMPLE_FIELDS, _sample_rows(sample), cfg.out_format)
 
 
+def _write_file(path: str, text: str):
+    """Write a finished output to path.  A regular file, or a new one, is
+    replaced as a whole (a temporary file in the same directory, renamed
+    over it, with the old file's permissions), so a failed write leaves the
+    old file as it was; anything else, such as a pipe or a device, is
+    written in place."""
+    path = os.path.realpath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:  # a new file: the mode open() would give it
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            return
+        mode = stat.S_IMODE(st.st_mode)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".optosteer-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run(cfg: RunConfig, out=None, err=None) -> int:
-    """Execute a validated configuration; returns the process exit status."""
+    """Execute a validated configuration; returns the process exit status.
+
+    With ``out_path`` the whole output is computed before the file is
+    touched, so a run that fails leaves an existing file unchanged; an
+    output that cannot be written is a configuration error.
+    """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
         if cfg.out_path is not None:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="") as handle:
-                _dispatch(cfg, handle)
+            buffer = io.StringIO()
+            _dispatch(cfg, buffer)
+            try:
+                _write_file(cfg.out_path, buffer.getvalue())
+            except BrokenPipeError:
+                raise
+            except OSError as exc:
+                raise ConfigError([f"cannot write output {cfg.out_path!r}: "
+                                   f"{exc.strerror or exc}"]) from exc
         else:
             _dispatch(cfg, out)
         return 0
@@ -408,7 +454,7 @@ def main(argv=None) -> int:
             try:
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError([f"cannot read config: {exc}"]) from exc
             cfg = dataclasses.replace(parse_config(text), **overrides)
     except ConfigError as exc:

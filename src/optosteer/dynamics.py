@@ -147,13 +147,12 @@ def time_grid(grid) -> np.ndarray:
     return grid
 
 
-def covariance_closed_form(rp: ReducedParams, gamma_t):
-    """Exact covariance matrix at dimensionless time gamma*t.
-
-    A scalar time gives a TwoModeCovariance; an array of times gives
-    StsColumns of its shape, evaluated at once with numpy.  Written through
-    expm1 so V(0) = I holds exactly and small times lose no precision;
-    algebraically identical to stationary + transient exponential.
+def _closed_form(rp: ReducedParams, gamma_t):
+    """(v11, v33, v13) at dimensionless time gamma*t: floats for a scalar
+    time, evaluated with the math module, or arrays of its shape, evaluated
+    at once with numpy.  Written through expm1 so V(0) = I holds exactly and
+    small times lose no precision; algebraically identical to stationary +
+    transient exponential.
     """
     if isinstance(gamma_t, float) or np.ndim(gamma_t) == 0:  # float: skip np.ndim's cost
         t, xp = float(gamma_t), FLOAT_MATH
@@ -170,15 +169,21 @@ def covariance_closed_form(rp: ReducedParams, gamma_t):
     v11 = 1.0 - (v11_inf - 1.0) * e1
     v33 = 1.0 - (v33_inf - 1.0) * e2
     v13 = -v13_inf * ec
-    if xp is np:
-        return StsColumns(v11, v33, v13)
-    return TwoModeCovariance.from_standard_form(v11, v33, v13)
+    return v11, v33, v13
+
+
+def covariance_closed_form(rp: ReducedParams, gamma_t):
+    """Exact covariance at gamma*t (see _closed_form): a TwoModeCovariance
+    for a scalar time, StsColumns of its shape for an array of times."""
+    v11, v33, v13 = _closed_form(rp, gamma_t)
+    if isinstance(v11, float):
+        return TwoModeCovariance.from_standard_form(v11, v33, v13)
+    return StsColumns(v11, v33, v13)
 
 
 def stationary_covariance(rp: ReducedParams) -> TwoModeCovariance:
     """Algebraic infinite-time limit (no large-time exponential evaluation)."""
-    v11, v33, v13 = _stationary_elements(rp)
-    return TwoModeCovariance.from_standard_form(v11, v33, v13)
+    return TwoModeCovariance.from_standard_form(*_stationary_elements(rp))
 
 
 def _rk4_map(rate, diffusion, h, n):

@@ -23,9 +23,9 @@ standard-form matrices with v11 = v22, v33 = v44 and v13 = -v24.
 An STS is fixed by the three numbers (v11, v33, v13), and every measure is
 a closed-form function of them, written once below for either a single
 state (Python floats and the ``math`` module, ``FLOAT_MATH``) or a whole
-column of states (numpy arrays).  ``StsColumns`` holds such columns; a
-``TwoModeCovariance`` exactly in STS form takes the same formulas on its
-floats.  Any other matrix takes the general determinant path.
+column of states (numpy arrays).  ``StsColumns`` holds one state (floats)
+or many (columns).  A ``TwoModeCovariance`` is measured through its
+determinants, which on an exact STS give the same bits.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _OFF_PATTERN = ((0, 1), (0, 3), (1, 2), (2, 3))
 #: a small share of inputs, so a column entry can differ from the same state
 #: evaluated alone in the last bits.
 FLOAT_MATH = SimpleNamespace(
-    expm1=math.expm1, log=math.log, sqrt=math.sqrt, maximum=max, any=bool,
+    expm1=math.expm1, log=math.log, sqrt=math.sqrt, maximum=max, minimum=min, any=bool,
 )
 
 
@@ -191,66 +191,61 @@ class TwoModeCovariance:
         return np.array(self.matrix, dtype=dtype)
 
     @cached_property
-    def _sts(self):
-        """(v11, v33, v13) as floats if the matrix is exactly in STS standard
-        form, else None."""
-        (a00, a01, a02, a03, a10, a11, a12, a13,
-         a20, a21, a22, a23, a30, a31, a32, a33) = self.matrix.ravel().tolist()
-        if (a11 == a00 and a33 == a22 and a20 == a02 and a13 == a31 == -a02
-                and a01 == a03 == a10 == a12 == a21 == a23 == a30 == a32 == 0.0):
-            return a00, a22, a02
-        return None
-
-    @cached_property
     def _steering(self):
-        """(G(A->B), G(B->A)), computed once per state: the STS formulas if
-        the matrix is exactly in STS form, else the general determinant
-        path."""
-        if self._sts is not None:
-            return _sts_steering(*self._sts, FLOAT_MATH)
-        _check_marginals(self)
-        det_v = _det4(self)
-        if det_v <= 0.0:
-            raise NonPhysicalState("det V <= 0")
-        det_a, det_b = _det2(self.block_a), _det2(self.block_b)
-        if det_a <= 0.0 or det_b <= 0.0:
-            raise NonPhysicalState("det V1 or det V2 <= 0")
-        return (_steering_value(det_a, det_v, FLOAT_MATH),
-                _steering_value(det_b, det_v, FLOAT_MATH))
+        """(G(A->B), G(B->A)) from det V1, det V2 and det V, computed once
+        per state on Python floats (an overflow gives inf, not a warning)."""
+        m = self.matrix.tolist()
+        return _steering_pair(min(m[0][0], m[1][1], m[2][2], m[3][3]),
+                              _det2(m, 0, 0), _det2(m, 2, 2), _det4(m), FLOAT_MATH)
 
 
 @dataclass(frozen=True)
 class StsColumns:
-    """Squeezed thermal states in STS standard form, held as three columns.
+    """Squeezed thermal states in STS standard form: one state or a column.
 
     Entry k is the state with v11 = v22 = v11[k], v33 = v44 = v33[k],
-    v13 = -v24 = v13[k] and every q-p entry zero.  The columns are read-only
-    float arrays of one shape.  The measure functions of this module accept
-    it wherever they accept a TwoModeCovariance and return an array of that
-    shape, evaluated with numpy array code.
+    v13 = -v24 = v13[k] and every q-p entry zero.  Three floats are one
+    state, which the measures evaluate with ``FLOAT_MATH`` into floats;
+    otherwise the columns are read-only float arrays of one shape, and the
+    measures return arrays of that shape, evaluated with numpy.
     """
 
     v11: np.ndarray
     v33: np.ndarray
     v13: np.ndarray
 
+    __eq__ = _contents_equal
+
     def __post_init__(self):
-        try:
-            cols = np.array([self.v11, self.v33, self.v13], dtype=float)
-        except ValueError:
-            raise InvalidInput("v11, v33 and v13 must have the same shape") from None
-        if not np.isfinite(cols).all():
-            raise InvalidInput("STS columns have non-finite entries")
-        cols.setflags(write=False)
-        for name, col in zip(("v11", "v33", "v13"), cols):
-            object.__setattr__(self, name, col)
+        entries = (self.v11, self.v33, self.v13)
+        if all(isinstance(v, float) for v in entries):
+            entries = tuple(map(float, entries))  # numpy scalars would warn
+            if not all(map(math.isfinite, entries)):
+                raise InvalidInput("STS entries are not finite")
+        else:
+            try:
+                entries = np.array(entries, dtype=float)
+            except ValueError:
+                raise InvalidInput("v11, v33 and v13 must have the same shape") from None
+            if not np.isfinite(entries).all():
+                raise InvalidInput("STS columns have non-finite entries")
+            entries.setflags(write=False)
+        for name, value in zip(("v11", "v33", "v13"), entries):
+            object.__setattr__(self, name, value)
+
+    def _steering_with(self, xp):
+        """det V1 = v11^2, det V2 = v33^2, det V = g^2, g = v11 v33 - v13^2."""
+        v11, v33, v13 = self.v11, self.v33, self.v13
+        g = v11 * v33 - v13 * v13
+        return _steering_pair(xp.minimum(v11, v33), v11 * v11, v33 * v33, g * g, xp)
 
     @cached_property
     def _steering(self):
-        """(G(A->B), G(B->A)) columns."""
+        if isinstance(self.v11, float):
+            return self._steering_with(FLOAT_MATH)
         # Overflow at huge squeezing surfaces as NonPhysicalState, not warnings.
         with np.errstate(all="ignore"):
-            return _sts_steering(self.v11, self.v33, self.v13, np)
+            return self._steering_with(np)
 
 
 @dataclass(frozen=True)
@@ -268,24 +263,26 @@ class CmValidity:
         return self.symmetric and self.positive_definite and self.bona_fide
 
 
-def _det2(b):
-    return b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+def _det2(m, i, j):
+    """det of the 2x2 block at rows i, i+1 and cols j, j+1 of nested lists."""
+    return m[i][j] * m[i + 1][j + 1] - m[i][j + 1] * m[i + 1][j]
 
 
-def _det4(cm: TwoModeCovariance):
-    """det V, using the decoupled q/p sector product when V is standard form.
+def _det4(m):
+    """det V of nested lists, using the decoupled q/p sector product when V
+    is standard form (on an STS, (v11 v33 - v13^2)^2 as for StsColumns).
 
     In the standard form the q sector (rows/cols 0, 2) and the p sector
     (rows/cols 1, 3) never mix, so det V = det(q sector) * det(p sector).
     The structured product is permutation-stable, which keeps the mode-swap
     identities exact in floating point; general matrices fall back to LU.
     """
-    m = cm.matrix
-    if all(m[i, j] == 0.0 and m[j, i] == 0.0 for i, j in _OFF_PATTERN):
-        qdet = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-        pdet = m[1, 1] * m[3, 3] - m[1, 3] * m[3, 1]
+    if all(m[i][j] == 0.0 and m[j][i] == 0.0 for i, j in _OFF_PATTERN):
+        qdet = m[0][0] * m[2][2] - m[0][2] * m[2][0]
+        pdet = m[1][1] * m[3][3] - m[1][3] * m[3][1]
         return qdet * pdet
-    return float(np.linalg.det(m))
+    with np.errstate(all="ignore"):  # an overflow gives inf, as on floats
+        return float(np.linalg.det(m))
 
 
 def symplectic_eigenvalues(cm: TwoModeCovariance):
@@ -295,8 +292,9 @@ def symplectic_eigenvalues(cm: TwoModeCovariance):
     nu^2 = (Delta -+ sqrt(Delta^2 - 4 det V))/2 with
     Delta = det V1 + det V2 + 2 det V3.  Vacuum gives nu = 1/2.
     """
-    delta = _det2(cm.block_a) + _det2(cm.block_b) + 2.0 * _det2(cm.cross)
-    det_v = _det4(cm)
+    m = cm.matrix.tolist()
+    delta = _det2(m, 0, 0) + _det2(m, 2, 2) + 2.0 * _det2(m, 0, 2)
+    det_v = _det4(m)
     disc = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
     nu_minus = math.sqrt(max((delta - disc) / 2.0, 0.0))
     nu_plus = math.sqrt(max((delta + disc) / 2.0, 0.0))
@@ -323,12 +321,6 @@ def swap_modes(cm: TwoModeCovariance) -> TwoModeCovariance:
     return TwoModeCovariance(cm.matrix[np.ix_(idx, idx)])
 
 
-def _check_marginals(cm: TwoModeCovariance):
-    m = cm.matrix
-    if m[0, 0] <= 0.0 or m[1, 1] <= 0.0 or m[2, 2] <= 0.0 or m[3, 3] <= 0.0:
-        raise NonPhysicalState("covariance matrix has a non-positive variance")
-
-
 def _log(x, xp):
     """ln x of a measure's log argument, which is finite and positive for
     every state that double precision resolves; NonPhysicalState otherwise
@@ -351,12 +343,10 @@ def _steering_value(det_measured, det_v, xp):
     return xp.maximum(0.0, 0.5 * _log(det_measured / (4.0 * det_v), xp))
 
 
-def _sts_steering(v11, v33, v13, xp):
-    """(G(A->B), G(B->A)) of STS entries: det V1 = v11^2, det V2 = v33^2 and
-    det V = g^2 with g = v11 v33 - v13^2."""
-    g = v11 * v33 - v13 * v13
-    det_a, det_b, det_v = v11 * v11, v33 * v33, g * g
-    if xp.any((v11 <= 0.0) | (v33 <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0)
+def _steering_pair(min_variance, det_a, det_b, det_v, xp):
+    """(G(A->B), G(B->A)) of a matrix or StsColumns from its smallest
+    variance, det V1, det V2 and det V; NonPhysicalState unless all are > 0."""
+    if xp.any((min_variance <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0)
               | (det_v <= 0.0)):
         raise NonPhysicalState("non-positive variance or determinant")
     return _steering_value(det_a, det_v, xp), _steering_value(det_b, det_v, xp)
@@ -366,8 +356,8 @@ def steering_a_to_b(cm):
     """Gaussian steerability of mode B by measurements on mode A.
 
     max[0, (1/2) ln(det V1 / (4 det V))]; zero iff the state is not
-    A->B steerable under Gaussian measurements.  A TwoModeCovariance gives
-    a float, StsColumns one value per entry.
+    A->B steerable under Gaussian measurements.  A TwoModeCovariance or one
+    state gives a float, StsColumns of columns one value per entry.
     """
     return cm._steering[0]
 
@@ -383,30 +373,40 @@ def steering_asymmetry(cm):
 
 
 def _require_sts(cm: TwoModeCovariance):
-    m = cm.matrix
-    scale = max(m[0, 0], m[1, 1], m[2, 2], m[3, 3])
-    tol = STS_FORM_RTOL * scale
+    """(v11, v33, v13) of a matrix in STS standard form to STS_FORM_RTOL of
+    its largest variance, as floats; UnsupportedForm otherwise."""
+    m = cm.matrix.tolist()
+    tol = STS_FORM_RTOL * max(m[0][0], m[1][1], m[2][2], m[3][3])
     dev = max(
-        abs(m[0, 0] - m[1, 1]),
-        abs(m[2, 2] - m[3, 3]),
-        abs(m[0, 2] + m[1, 3]),
-        max(abs(m[i, j]) for i, j in _OFF_PATTERN),
-        max(abs(m[j, i]) for i, j in _OFF_PATTERN),
-        abs(m[0, 2] - m[2, 0]),
-        abs(m[1, 3] - m[3, 1]),
+        abs(m[0][0] - m[1][1]),
+        abs(m[2][2] - m[3][3]),
+        abs(m[0][2] + m[1][3]),
+        max(abs(m[i][j]) for i, j in _OFF_PATTERN),
+        max(abs(m[j][i]) for i, j in _OFF_PATTERN),
+        abs(m[0][2] - m[2][0]),
+        abs(m[1][3] - m[3][1]),
     )
-    if dev > tol:
+    # An exact STS passes even when every variance is negative (tol < 0).
+    if dev > max(tol, 0.0):
         raise UnsupportedForm(
             f"matrix deviates from STS standard form by {dev:.3e} (tol {tol:.3e})"
         )
+    return m[0][0], m[2][2], m[0][2]
 
 
 def _renyi2_terms(v11, v33, v13, xp):
     """s, d, g of STS entries and whether each lies on the entangled branch;
-    NonPhysicalState for the gap region (see renyi2_entanglement)."""
+    NonPhysicalState for the gap region (see renyi2_entanglement) and where
+    s or g is not finite (v11 v33 overflows: inf - inf would fail the branch
+    test and read as separable)."""
     s = 0.5 * (v11 + v33)
     d = 0.5 * (v11 - v33)
     g = v11 * v33 - v13 * v13
+    if xp.any((s - s) + (g - g)):  # nan exactly where s or g is not finite
+        raise NonPhysicalState(
+            "s or g of the state is not finite: "
+            "the state is not resolvable in double precision"
+        )
     entangled = 4.0 * g < 4.0 * s - 1.0
     # g carries cancellation error of order eps * scale^2, so pure states that
     # sit exactly on the 4g = 4|d| + 1 boundary may land an ulp below it;
@@ -442,12 +442,14 @@ def renyi2_entanglement(cm):
       E2 = (1/2) ln h with
       h = [((4g+1)s - sqrt([(4g-1)^2 - 16 d^2][s^2 - d^2 - g])) / (4(d^2+g))]^2.
 
-    A TwoModeCovariance gives a float, StsColumns one value per entry.
-    Matrices outside the STS standard form raise UnsupportedForm; the region
-    4g < 4|d| + 1 cannot occur for bona fide STS states and raises
-    NonPhysicalState rather than extrapolating.
+    A TwoModeCovariance or one state gives a float, StsColumns of columns
+    one value per entry.  Matrices outside the STS standard form raise
+    UnsupportedForm; the region 4g < 4|d| + 1 cannot occur for bona fide
+    STS states and raises NonPhysicalState rather than extrapolating.
     """
-    if isinstance(cm, StsColumns):
+    if isinstance(cm, TwoModeCovariance):
+        cm = StsColumns(*_require_sts(cm))
+    if not isinstance(cm.v11, float):
         # Separable entries may lie outside the formula's domain: skip them.
         with np.errstate(all="ignore"):
             s, d, g, entangled = _renyi2_terms(cm.v11, cm.v33, cm.v13, np)
@@ -456,11 +458,7 @@ def renyi2_entanglement(cm):
                 s[entangled], d[entangled], g[entangled], np
             )
         return e2
-    sts = cm._sts
-    if sts is None:
-        _require_sts(cm)
-        sts = float(cm.v11), float(cm.v33), float(cm.v13)
-    s, d, g, entangled = _renyi2_terms(*sts, FLOAT_MATH)
+    s, d, g, entangled = _renyi2_terms(cm.v11, cm.v33, cm.v13, FLOAT_MATH)
     if not entangled:
         return 0.0
     try:
@@ -474,8 +472,8 @@ def renyi2_entanglement(cm):
 def classify_steering(cm, epsilon=1e-9):
     """Classify the steering direction against a positivity tolerance.
 
-    A TwoModeCovariance gives a SteeringClass, StsColumns an object array of
-    them, one per entry.
+    A TwoModeCovariance or one state gives a SteeringClass, StsColumns of
+    columns an object array of them, one per entry.
     """
     if not 0.0 < epsilon < math.inf:
         raise InvalidInput("epsilon must be positive and finite")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import covariance_closed_form, time_grid
+from .dynamics import _closed_form, covariance_closed_form, time_grid
 from .errors import InvalidInput
 from .gaussian import (
     SteeringClass,
@@ -114,10 +114,12 @@ def evaluate_measures(rp: ReducedParams, gamma_t, epsilon=1e-9) -> MeasureSample
     """All four measures plus the steering class at a single scaled time, or
     at every entry of a 1-d array of them, evaluated at once (then every
     field of the result is a column)."""
-    state = covariance_closed_form(rp, gamma_t)
+    scalar = isinstance(gamma_t, float) or np.ndim(gamma_t) == 0
+    state = (StsColumns(*_closed_form(rp, gamma_t)) if scalar
+             else covariance_closed_form(rp, gamma_t))
     values = (steering_a_to_b(state), steering_b_to_a(state),
               renyi2_entanglement(state), classify_steering(state, epsilon))
-    if not isinstance(state, StsColumns):
+    if scalar:
         return MeasureSample(float(gamma_t), *values)
     times = np.array(gamma_t, dtype=float)
     for column in (times, *values):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import assume, given, settings
@@ -490,3 +491,125 @@ class TestMain:
         assert main(["--mode", "figure", "--panel", "2a"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestOutputFile:
+    """--out is written only once the whole output is computed, and replaces
+    the file as a whole; an unwritable output is a configuration error."""
+
+    def test_failed_run_leaves_the_old_file(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        doc = with_mode(REDUCED_DOC.replace("r = 1", "r = 200"), "eval")
+        code, out, err = main_with_doc(tmp_path, capsys, doc + f"path = {target}\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert target.read_text() == "old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "out.csv"]
+
+    def test_file_holds_the_stdout_bytes_and_keeps_its_mode(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        target.write_text("old contents\n")
+        target.chmod(0o640)
+        argv = ["--mode", "figure", "--panel", "3b", "--format", "json"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == stdout.encode()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_new_file_gets_the_default_mode(self, tmp_path, capsys):
+        umask = os.umask(0)
+        os.umask(umask)
+        target = tmp_path / "new.csv"
+        assert main(["--mode", "figure", "--panel", "2a", "--out", str(target)]) == 0
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_symlink_target_is_written(self, tmp_path, capsys):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old contents\n")
+        link.symlink_to(real)
+        assert main(["--mode", "figure", "--panel", "2a", "--out", str(link)]) == 0
+        assert link.is_symlink() and real.read_text().startswith("gamma_t,")
+
+    def test_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.csv"
+        assert main(["--mode", "figure", "--panel", "2a", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write output")
+        assert len(captured.err.splitlines()) == 1
+        assert not target.parent.exists()
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes("[run]\nmode = figure\npanel = 2a\n# café\n".encode("latin-1"))
+        assert main(["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read config")
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestConfigChecks:
+    """Each RunConfig check and mode requirement, driven through main."""
+
+    def test_unknown_mode(self, tmp_path, capsys):
+        code, out, err = main_with_doc(
+            tmp_path, capsys, REDUCED_DOC.replace("mode = sweep", "mode = bogus"))
+        assert (code, out) == (1, "")
+        assert "config error: [run] mode: must be one of" in err
+
+    def test_both_blocks(self, tmp_path, capsys):
+        doc = PHYSICAL_DOC + REDUCED_DOC.replace("[run]\nmode = sweep\n", "")
+        code, out, err = main_with_doc(tmp_path, capsys, doc)
+        assert (code, out) == (1, "")
+        assert "exclusive blocks" in err
+        cfg = parse_config(REDUCED_DOC)
+        with pytest.raises(ConfigError, match="exclusive blocks"):
+            RunConfig(physical=parse_config(PHYSICAL_DOC).physical, reduced=cfg.reduced)
+
+    def test_bad_output_format(self, tmp_path, capsys):
+        code, out, err = main_with_doc(
+            tmp_path, capsys, REDUCED_DOC.replace("format = csv", "format = xml"))
+        assert (code, out) == (1, "")
+        assert "[output] format: must be csv or json" in err
+
+    def test_regime_mode_as_json(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(PHYSICAL_DOC)
+        assert main(["--config", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"threshold", "warn_floor", "checks", "overall"}
+        checks = {c["check"]: c for c in payload["checks"]}
+        assert checks["sideband_resolution_1"]["status"] == "warn"
+        assert checks["sideband_resolution_1"]["ratio"] == float(f"{947.0 / 215.0:.12g}")
+        assert payload["overall"] == "warn"
+
+    def test_figure_mode_needs_a_panel(self, capsys):
+        assert main(["--mode", "figure"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[run] panel: required for figure mode" in captured.err
+
+    def test_eval_mode_needs_gamma_t(self, tmp_path, capsys):
+        code, out, err = main_with_doc(
+            tmp_path, capsys, REDUCED_DOC.replace("mode = sweep", "mode = eval"))
+        assert (code, out) == (1, "")
+        assert "[run] gamma_t: required for eval mode" in err
+
+    def test_occupation_from_temperature_alone(self, tmp_path, capsys):
+        temps = (2e-4, 3e-4)
+        omega_m = 2.0 * math.pi * 947e3
+        by_temp = with_mode(PHYSICAL_DOC, "eval").replace(
+            "nth1 = 0.5\nnth2 = 1", f"temp1_k = {temps[0]}\ntemp2_k = {temps[1]}")
+        by_nth = with_mode(PHYSICAL_DOC, "eval").replace(
+            "nth1 = 0.5\nnth2 = 1",
+            "\n".join(f"nth{j} = {thermal_occupation(t, omega_m)!r}"
+                      for j, t in enumerate(temps, 1)))
+        assert 0.1 < thermal_occupation(temps[0], omega_m) < 10.0
+        code, out, err = main_with_doc(tmp_path, capsys, by_temp)
+        assert (code, err) == (0, "") and out.startswith("gamma_t,")
+        assert main_with_doc(tmp_path, capsys, by_nth) == (0, out, "")

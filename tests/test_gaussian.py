@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,8 +301,89 @@ class TestStsColumns:
         with pytest.raises(NonPhysicalState):  # the gap-region state of TestRenyi2
             renyi2_entanglement(StsColumns([1.0, 3.0], [1.0, 0.5], [0.0, math.sqrt(0.5)]))
 
+    def test_equality_compares_contents(self):
+        cols = StsColumns([1.0, 2.0], [1.0, 2.0], [0.0, 0.5])
+        assert cols == StsColumns([1.0, 2.0], [1.0, 2.0], [0.0, 0.5])
+        assert cols != StsColumns([1.0, 2.0], [1.0, 2.0], [0.0, 0.4])
+        assert StsColumns(1.0, 2.0, 0.5) == StsColumns(1.0, 2.0, 0.5)
+        assert hash(StsColumns(1.0, 2.0, 0.5)) == hash(StsColumns(1.0, 2.0, 0.5))
+
     def test_malformed_columns_rejected(self):
         with pytest.raises(InvalidInput):
             StsColumns([1.0, 2.0], [1.0], [0.0, 0.0])
         with pytest.raises(InvalidInput):
             StsColumns([1.0, math.nan], [1.0, 1.0], [0.0, 0.0])
+
+
+def _floats(cm):
+    return StsColumns(float(cm.v11), float(cm.v33), float(cm.v13))
+
+
+class TestOneState:
+    """StsColumns of three floats is one state; a matrix is measured through
+    its determinants, and on an exact STS that gives the same bits."""
+
+    def test_floats_give_floats(self):
+        state = _floats(TwoModeCovariance.squeezed_thermal(1.0, 0.5, 0.2))
+        for measure in (steering_a_to_b, steering_b_to_a, renyi2_entanglement):
+            assert type(measure(state)) is float
+        assert classify_steering(state) is SteeringClass.TWO_WAY
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        state = StsColumns(np.float64(1.5), np.float64(1.5), np.float64(1.0))
+        assert all(type(v) is float for v in (state.v11, state.v33, state.v13))
+
+    def test_non_finite_floats_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInput):
+                StsColumns(1.0, bad, 0.0)
+
+    def test_exact_sts_matrix_is_bit_equal_to_its_floats(self):
+        rng = np.random.default_rng(59)
+        for _ in range(1000):
+            cm = random_sts(rng)
+            for c in (cm, swap_modes(cm)):
+                state = _floats(c)
+                assert steering_a_to_b(c) == steering_a_to_b(state)
+                assert steering_b_to_a(c) == steering_b_to_a(state)
+                assert renyi2_entanglement(c) == renyi2_entanglement(state)
+                assert classify_steering(c) is classify_steering(state)
+
+    def test_local_rotation_of_mode_b_leaves_steering_unchanged(self):
+        # The rotated matrix leaves standard form: the LU determinant path.
+        rng = np.random.default_rng(53)
+        for _ in range(3000):
+            cm = TwoModeCovariance.squeezed_thermal(
+                float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 5.0)),
+                float(rng.uniform(0.0, 5.0)))
+            c, s = math.cos(theta := rng.uniform(0.0, 2.0 * math.pi)), math.sin(theta)
+            rot = np.eye(4)
+            rot[2:, 2:] = [[c, -s], [s, c]]
+            rotated = TwoModeCovariance(rot @ cm.matrix @ rot.T)
+            for measure in (steering_a_to_b, steering_b_to_a):
+                assert measure(rotated) == pytest.approx(measure(cm), rel=1e-10, abs=1e-15)
+
+    def test_overflowing_state_raises_without_warning(self):
+        cm = TwoModeCovariance.squeezed_thermal(200.0, 0.1, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in (steering_a_to_b, steering_b_to_a, classify_steering):
+                with pytest.raises(NonPhysicalState):
+                    measure(cm)
+
+    def test_renyi2_of_a_nearly_sts_matrix_uses_its_entries(self):
+        cm = TwoModeCovariance.squeezed_thermal(1.2, 0.3, 0.7)
+        m = cm.matrix.copy()
+        m[1, 1] *= 1.0 + 1e-12  # within STS_FORM_RTOL
+        m[1, 3] = m[3, 1] = m[1, 3] * (1.0 - 1e-12)
+        nearly = TwoModeCovariance(m)
+        assert renyi2_entanglement(nearly) == renyi2_entanglement(_floats(cm)) > 0.0
+
+    def test_overflowing_g_is_not_separable(self):
+        # g = inf - inf = nan used to fail the entangled-branch test: E2 = 0
+        with pytest.raises(NonPhysicalState):
+            renyi2_entanglement(TwoModeCovariance.squeezed_thermal(200.0, 0.1, 0.2))
+        with pytest.raises(NonPhysicalState):
+            renyi2_entanglement(StsColumns([1e200], [1e200], [0.9999e200]))
+        with pytest.raises(NonPhysicalState):
+            renyi2_entanglement(StsColumns(1e200, 1e200, 0.9999e200))

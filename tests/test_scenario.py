@@ -8,9 +8,14 @@ from optosteer import (
     NonPhysicalState,
     ReducedParams,
     SteeringClass,
+    classify_steering,
+    covariance_closed_form,
     detect_birth,
     evaluate_measures,
     figure_panels,
+    renyi2_entanglement,
+    steering_a_to_b,
+    steering_b_to_a,
     steering_windows,
     sweep_time,
 )
@@ -98,6 +103,18 @@ class TestColumns:
             assert list(sweep.measures.steering_class) == [
                 p.steering_class for p in points
             ]
+
+    def test_single_time_is_bit_equal_to_the_public_matrix(self):
+        # evaluate_measures holds one time as floats, never as a matrix; the
+        # matrix from covariance_closed_form gives the same bits.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            rp, t = random_reduced(rng), float(10.0 ** rng.uniform(-6.0, 1.0))
+            sample, cm = evaluate_measures(rp, t), covariance_closed_form(rp, t)
+            assert (sample.g_ab, sample.g_ba, sample.e2, sample.steering_class) == (
+                steering_a_to_b(cm), steering_b_to_a(cm), renyi2_entanglement(cm),
+                classify_steering(cm))
+            assert all(type(v) is float for v in (sample.g_ab, sample.g_ba, sample.e2))
 
     def test_samples_view_matches_columns(self):
         sweep = figure_panels("2c", grid=grid_n(301))
