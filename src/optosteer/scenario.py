@@ -8,6 +8,11 @@ module.  The single-time path is the reference: it gives the values the
 package has always given, bit for bit.  A sweep entry agrees with it to
 1e-10 relative (numpy's expm1 and log differ from the C library's by an ulp
 on a small share of inputs), and the panel datasets print identically.
+
+Births and window edges are epsilon crossings found between grid points and
+bisected on the single-time path; every crossing of either steering measure
+is a window edge.  A grid does not see a measure that crosses twice within
+one interval, or that rises above epsilon and falls back between two points.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import InvalidInput
 from .gaussian import (
     SteeringClass,
     StsColumns,
+    _CLASS_BY_CODE,
     classify_steering,
     _contents_equal,
     renyi2_entanglement,
@@ -136,76 +142,67 @@ def sweep_time(rp: ReducedParams, grid, epsilon=1e-9) -> TimeSweep:
     return TimeSweep(rp, epsilon, evaluate_measures(rp, time_grid(grid), epsilon))
 
 
-def _bisect_crossing(rp, which, epsilon, t_lo, t_hi, lo_above, tol):
-    """Locate where a measure crosses epsilon inside (t_lo, t_hi].
+def _crossings(sweep: TimeSweep, which: str, refine_tol):
+    """``(time, above)`` in time order for each grid interval whose ends lie
+    on opposite sides of epsilon, ``above`` the side the measure crosses to.
 
-    ``lo_above`` tells whether the measure exceeds epsilon at t_lo; at t_hi
-    it lies on the other side.  Callers read both from the sweep.
+    Each is bisected as it is consumed, one ``evaluate_measures`` per step,
+    until the bracket is at most ``refine_tol`` wide or cannot be halved;
+    ``refine_tol`` itself is checked at the call.
     """
-    while t_hi - t_lo > tol:
+    if not 0.0 < refine_tol < math.inf:
+        raise InvalidInput("refine_tol must be positive and finite")
+    rp, eps, times = sweep.params, sweep.epsilon, sweep.measures.gamma_t
+    above = sweep.column(which) > eps
+
+    def bisect(i):
+        t_lo, t_hi, lo_above = float(times[i]), float(times[i + 1]), bool(above[i])
         mid = 0.5 * (t_lo + t_hi)
-        if (getattr(evaluate_measures(rp, mid, epsilon), which) > epsilon) == lo_above:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+        while t_hi - t_lo > refine_tol and t_lo < mid < t_hi:
+            if (getattr(evaluate_measures(rp, mid, eps), which) > eps) == lo_above:
+                t_lo = mid
+            else:
+                t_hi = mid
+            mid = 0.5 * (t_lo + t_hi)
+        return mid, not lo_above
+
+    return map(bisect, np.flatnonzero(above[1:] != above[:-1]).tolist())
 
 
 def detect_birth(sweep: TimeSweep, which: str, refine_tol=REFINE_TOL):
-    """First scaled time at which a measure exceeds the sweep's epsilon.
+    """First scaled time at which a measure exceeds the sweep's epsilon: the
+    grid start if it is above epsilon there, else its first crossing, else None.
 
-    Grid detection refined by bisection on the closed form; None when the
-    measure never comes alive on the grid.
+    For ``"e2"`` that is where E2 crosses epsilon, about sqrt(epsilon /
+    curvature) after its onset (panel 2a: 0.0380374 against 0.0380346).
     """
-    above = np.flatnonzero(sweep.column(which) > sweep.epsilon)
-    if len(above) == 0:
-        return None
-    idx = int(above[0])
-    times = sweep.measures.gamma_t
-    if idx == 0:
-        return float(times[0])
-    return _bisect_crossing(
-        sweep.params, which, sweep.epsilon,
-        float(times[idx - 1]), float(times[idx]), False, refine_tol,
-    )
-
-
-def _boundary_time(sweep: TimeSweep, i: int, refine_tol) -> float:
-    """Refine the class-change boundary between grid samples i and i+1.
-
-    At a change at least one steering measure flips across epsilon; the
-    boundary is the earliest such crossing.
-    """
-    m, eps = sweep.measures, sweep.epsilon
-    t_lo, t_hi = float(m.gamma_t[i]), float(m.gamma_t[i + 1])
-    crossings = []
-    for which, values in (("g_ab", m.g_ab), ("g_ba", m.g_ba)):
-        lo_above = bool(values[i] > eps)
-        if lo_above != bool(values[i + 1] > eps):
-            crossings.append(_bisect_crossing(
-                sweep.params, which, eps, t_lo, t_hi, lo_above, refine_tol))
-    return min(crossings)
+    crossings = _crossings(sweep, which, refine_tol)
+    if sweep.column(which)[0] > sweep.epsilon:
+        return float(sweep.measures.gamma_t[0])
+    return next((t for t, _ in crossings), None)
 
 
 def steering_windows(sweep: TimeSweep, refine_tol=REFINE_TOL):
     """Maximal runs of constant steering class covering the grid span.
 
-    Interior boundaries are refined by bisection on the classifying measures;
-    the first window starts at the grid start and the last one is truncated
-    by the grid end.
+    Every epsilon crossing of G(A->B) or G(B->A) is an edge (crossings at
+    one time make one), so a one-way run between two crossings in one grid
+    interval is kept.  Crossings the grid does not see are in the module
+    docstring.
     """
-    times, classes = sweep.measures.gamma_t, sweep.measures.steering_class
-    if len(times) < 2:
+    m, eps = sweep.measures, sweep.epsilon
+    if len(m.gamma_t) < 2:
         raise InvalidInput("need at least two samples to build windows")
-    windows = []
-    run_start = float(times[0])
-    run_kind = classes[0]
-    for i in np.flatnonzero(classes[1:] != classes[:-1]).tolist():
-        edge = _boundary_time(sweep, i, refine_tol)
-        windows.append(SteeringWindow(run_kind, run_start, edge))
-        run_start = edge
-        run_kind = classes[i + 1]
-    windows.append(SteeringWindow(run_kind, run_start, float(times[-1])))
+    edges = sorted((t, bit, up) for bit, which in ((1, "g_ab"), (2, "g_ba"))
+                   for t, up in _crossings(sweep, which, refine_tol))
+    code = int(m.g_ab[0] > eps) + 2 * int(m.g_ba[0] > eps)
+    windows, start = [], float(m.gamma_t[0])
+    # The grid end closes the last window; its bit 0 leaves the code alone.
+    for t, bit, up in [*edges, (float(m.gamma_t[-1]), 0, False)]:
+        if t > start:
+            windows.append(SteeringWindow(_CLASS_BY_CODE[code], start, t))
+            start = t
+        code = code | bit if up else code & ~bit
     return tuple(windows)
 
 

@@ -338,7 +338,7 @@ def run_configs(draw):
 
 
 class TestRenderPropertyRoundTrip:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(run_configs())
     def test_parse_inverts_render(self, cfg):
         assert parse_config(render_config(cfg)) == cfg

@@ -19,8 +19,17 @@ from optosteer import (
     steering_windows,
     sweep_time,
 )
-from optosteer.scenario import MEASURE_NAMES, PANEL_PARAMS, default_grid
+from optosteer.scenario import MEASURE_NAMES, PANEL_PARAMS, REFINE_TOL, default_grid
 from conftest import random_reduced
+
+
+#: (A->B steerable, B->A steerable) of each steering class.
+DIRECTIONS = {
+    SteeringClass.NO_WAY: (False, False),
+    SteeringClass.ONE_WAY_A_TO_B: (True, False),
+    SteeringClass.ONE_WAY_B_TO_A: (False, True),
+    SteeringClass.TWO_WAY: (True, True),
+}
 
 
 def grid_n(n, stop=5.0):
@@ -44,13 +53,7 @@ class TestSweep:
         sweep = figure_panels("2c", grid=grid_n(401))
         for s in sweep.samples:
             ab, ba = s.g_ab > sweep.epsilon, s.g_ba > sweep.epsilon
-            expected = {
-                (False, False): SteeringClass.NO_WAY,
-                (True, False): SteeringClass.ONE_WAY_A_TO_B,
-                (False, True): SteeringClass.ONE_WAY_B_TO_A,
-                (True, True): SteeringClass.TWO_WAY,
-            }[(ab, ba)]
-            assert s.steering_class is expected
+            assert DIRECTIONS[s.steering_class] == (ab, ba)
 
     def test_deterministic(self):
         a = sweep_time(PANEL_PARAMS["2a"], grid_n(100))
@@ -252,6 +255,60 @@ class TestWindows:
                 or (lo.g_ba > sweep.epsilon) != (hi.g_ba > sweep.epsilon)
             )
             assert flipped
+
+    def test_both_crossings_in_one_interval_keep_the_one_way_window(self):
+        # G(A->B) and G(B->A) both cross epsilon between grid points
+        # 0.025 and 0.030; the one-way run between them is a window
+        rp = ReducedParams(c1=59.55260473056391, c2=51.596791727717395,
+                           nth1=0.36266987941741924, nth2=0.9980855560803873,
+                           r=1.8037110189581709, gamma=1.0)
+        windows = steering_windows(sweep_time(rp, default_grid()))
+        assert [w.kind for w in windows] == [
+            SteeringClass.NO_WAY, SteeringClass.ONE_WAY_A_TO_B, SteeringClass.TWO_WAY]
+        assert windows[1].start < 0.02655 < windows[1].end
+        assert windows[1].end - windows[1].start < default_grid()[1]
+
+    def test_random_windows_flip_one_direction_and_match_their_midpoints(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            c1, c2 = rng.uniform(0.0, 60.0, 2)
+            nth1, nth2 = rng.uniform(0.0, 3.0, 2)
+            rp = ReducedParams(c1=float(c1), c2=float(c2), nth1=float(nth1),
+                               nth2=float(nth2), r=float(rng.uniform(0.0, 2.5)),
+                               gamma=1.0)
+            windows = steering_windows(sweep_time(rp, default_grid()))
+            for w in windows:
+                mid = evaluate_measures(rp, 0.5 * (w.start + w.end))
+                assert mid.steering_class is w.kind, (rp, w)
+            for left, right in zip(windows, windows[1:]):
+                a, b = DIRECTIONS[left.kind], DIRECTIONS[right.kind]
+                assert (a[0] != b[0]) + (a[1] != b[1]) == 1, (rp, left, right)
+
+    def test_simultaneous_crossings_make_one_edge(self):
+        # at equal parameters both measures cross at the same bisected time
+        rp = ReducedParams(c1=15.0, c2=15.0, nth1=1.0, nth2=1.0, r=1.0, gamma=1.0)
+        windows = steering_windows(sweep_time(rp, default_grid()))
+        assert [w.kind for w in windows] == [SteeringClass.NO_WAY, SteeringClass.TWO_WAY]
+
+
+class TestRefineTol:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_rejected(self, tol):
+        sweep = figure_panels("2a")
+        with pytest.raises(InvalidInput):
+            detect_birth(sweep, "e2", refine_tol=tol)
+        with pytest.raises(InvalidInput):
+            steering_windows(sweep, refine_tol=tol)
+
+    def test_tiny_tolerance_stops_at_float_resolution(self):
+        sweep = figure_panels("2a")
+        birth = detect_birth(sweep, "e2", refine_tol=1e-300)
+        assert abs(birth - detect_birth(sweep, "e2")) < REFINE_TOL
+        fine = steering_windows(sweep, refine_tol=1e-300)
+        default = steering_windows(sweep)
+        assert [w.kind for w in fine] == [w.kind for w in default]
+        for a, b in zip(fine, default):
+            assert abs(a.end - b.end) < REFINE_TOL
 
 
 class TestPanels:
