@@ -36,8 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrationError, InvalidInput
-from .gaussian import FLOAT_MATH, StsColumns, TwoModeCovariance, _contents_equal
+from .errors import IntegrationError, InvalidInput, UnsupportedForm
+from .gaussian import (
+    _OFF_PATTERN, FLOAT_MATH, StsColumns, TwoModeCovariance, _contents_equal,
+)
 from .model import ReducedParams
 
 # Fixed-step size (in gamma*t) of the RK4 oracle and the elementwise change
@@ -67,8 +69,10 @@ class DriftDiffusion:
 class CovarianceTrajectory:
     """Covariance matrices sampled on a strictly increasing gamma*t grid.
 
-    ``matrices`` holds them as one read-only (n, 4, 4) array; ``states``
-    builds one TwoModeCovariance per grid point on first use.  An RK4 run
+    ``matrices`` holds them as one read-only (n, 4, 4) array, checked once
+    here.  ``states`` wraps each row, a read-only view of ``matrices``, in a
+    TwoModeCovariance on first use, with no copy and no second check;
+    ``columns()`` gives an STS trajectory as StsColumns.  An RK4 run
     also records how it was accepted: ``halvings`` (step halvings taken),
     ``step`` (the accepted step) and ``last_change`` (the largest elementwise
     change of that last halving).
@@ -98,8 +102,28 @@ class CovarianceTrajectory:
 
     @cached_property
     def states(self) -> tuple[TwoModeCovariance, ...]:
-        """The trajectory as one TwoModeCovariance per grid point."""
-        return tuple(map(TwoModeCovariance, self.matrices))
+        """The trajectory as one TwoModeCovariance per grid point, each
+        wrapping a read-only view of its row of ``matrices``."""
+        return tuple(map(TwoModeCovariance._wrap, self.matrices))
+
+    def columns(self) -> StsColumns:
+        """The trajectory as StsColumns (v11, v33, v13), one entry per grid
+        point, for the column measures.  Every matrix must hold the exact STS
+        pattern (v22 = v11, v44 = v33, v13 = v31 = -v24 = -v42 and every q-p
+        entry zero), as the oracle's do from V(0) = I; UnsupportedForm
+        otherwise."""
+        m = self.matrices
+        v11, v33, v13 = m[:, 0, 0], m[:, 2, 2], m[:, 0, 2]
+        rows, cols = zip(*_OFF_PATTERN)
+        exact = (
+            np.array_equal(m[:, 1, 1], v11) and np.array_equal(m[:, 3, 3], v33)
+            and np.array_equal(m[:, 2, 0], v13)
+            and np.array_equal(m[:, 1, 3], -v13) and np.array_equal(m[:, 3, 1], -v13)
+            and not m[:, rows, cols].any() and not m[:, cols, rows].any()
+        )
+        if not exact:
+            raise UnsupportedForm("trajectory matrices are not exactly in STS standard form")
+        return StsColumns(v11, v33, v13)
 
     def __len__(self):
         return len(self.times)

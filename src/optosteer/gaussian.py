@@ -98,11 +98,19 @@ class TwoModeCovariance:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidInput(f"covariance matrix must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
+        if np.count_nonzero(np.isfinite(m)) != 16:
             raise InvalidInput("covariance matrix has non-finite entries")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _wrap(cls, m):
+        """A TwoModeCovariance around m, a read-only, finite float 4x4 array
+        that the package has just built: no second check and no copy."""
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "matrix", m)
+        return cm
 
     # -- constructors ------------------------------------------------------
 
@@ -111,16 +119,21 @@ class TwoModeCovariance:
         """Build the sparse standard-form matrix from its distinct elements.
 
         Omitted p-sector elements default to the STS pattern v22 = v11,
-        v44 = v33, v24 = -v13.
+        v44 = v33, v24 = -v13.  A non-finite element raises InvalidInput.
+        The read-only matrix is built in one allocation and wrapped without
+        the constructor's second check and copy.
         """
         v22 = v11 if v22 is None else v22
         v44 = v33 if v44 is None else v44
         v24 = -v13 if v24 is None else v24
-        m = np.zeros((4, 4))
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = v11, v22, v33, v44
-        m[0, 2] = m[2, 0] = v13
-        m[1, 3] = m[3, 1] = v24
-        return cls(m)
+        if not all(map(math.isfinite, (v11, v22, v33, v44, v13, v24))):
+            raise InvalidInput("covariance matrix has non-finite entries")
+        m = np.array((v11, 0.0, v13, 0.0,
+                      0.0, v22, 0.0, v24,
+                      v13, 0.0, v33, 0.0,
+                      0.0, v24, 0.0, v44), dtype=float)
+        m.setflags(write=False)  # before reshaping, so no writeable base remains
+        return cls._wrap(m.reshape(4, 4))
 
     @classmethod
     def vacuum(cls):

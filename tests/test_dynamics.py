@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from optosteer import (
+    CovarianceTrajectory,
     IntegrationError,
     InvalidInput,
     ReducedParams,
     StsColumns,
+    TwoModeCovariance,
+    UnsupportedForm,
     build_drift_diffusion,
     covariance_closed_form,
     covariance_ode,
     stationary_covariance,
     validate_cm,
 )
-from optosteer.dynamics import DEFAULT_STEP, STEP_CHECK_TOL, _rk4_run
+from optosteer.dynamics import DEFAULT_STEP, STEP_CHECK_TOL, _closed_form, _rk4_run
 from optosteer.scenario import PANEL_PARAMS
 from conftest import random_reduced
 
@@ -343,8 +346,10 @@ class TestOdeOracle:
         for i, (t, state) in enumerate(traj):
             assert t == traj.times[i]
             assert state is traj.states[i]
-            assert np.array_equal(state.matrix, traj.matrices[i])
-            assert not state.matrix.flags.writeable
+            assert state.matrix.tobytes() == traj.matrices[i].tobytes()
+            assert np.shares_memory(state.matrix, traj.matrices)
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 2.0
 
     def test_run_diagnostics(self):
         traj = covariance_ode(PANEL_PARAMS["2a"], np.linspace(0.0, 5.0, 501))
@@ -379,6 +384,89 @@ class TestOdeOracle:
         monkeypatch.setattr(dyn, "_rk4_run", never)
         with pytest.raises(InvalidInput):
             covariance_ode(PANEL_PARAMS["2a"], [0.5, 1.0], **kwargs)
+
+
+class TestColumns:
+    def test_oracle_columns_are_its_matrices_entries(self):
+        grid = np.linspace(0.0, 5.0, 501)
+        for rp in PANEL_PARAMS.values():
+            traj = covariance_ode(rp, grid)
+            cols = traj.columns()
+            assert isinstance(cols, StsColumns)
+            assert np.array_equal(cols.v11, traj.matrices[:, 1, 1])
+            assert np.array_equal(cols.v33, traj.matrices[:, 3, 3])
+            assert np.array_equal(cols.v13, -traj.matrices[:, 3, 1])
+            closed = covariance_closed_form(rp, grid)
+            for name in ("v11", "v33", "v13"):
+                assert np.max(np.abs(getattr(cols, name) - getattr(closed, name))) < 1e-8
+
+    def test_another_sts_initial_state_gives_columns(self):
+        v0 = stationary_covariance(PANEL_PARAMS["3d"]).matrix
+        traj = covariance_ode(PANEL_PARAMS["2a"], [0.25, 3.0], initial=v0)
+        assert np.array_equal(traj.columns().v11, traj.matrices[:, 0, 0])
+
+    @pytest.mark.parametrize("entry", [
+        (1, 1), (3, 3), (2, 0), (1, 3), (3, 1), (0, 1), (1, 0), (0, 3), (2, 3), (3, 2),
+    ])
+    def test_any_deviation_from_the_exact_pattern_raises(self, entry):
+        traj = covariance_ode(PANEL_PARAMS["2c"], np.linspace(0.0, 1.0, 11))
+        m = np.array(traj.matrices)
+        m[7][entry] = np.nextafter(m[7][entry], math.inf)
+        with pytest.raises(UnsupportedForm):
+            CovarianceTrajectory(traj.times, m, 1, DEFAULT_STEP, 0.0).columns()
+
+    def test_non_sts_initial_state_raises(self):
+        v0 = np.eye(4)
+        v0[0, 1] = v0[1, 0] = 0.1
+        traj = covariance_ode(PANEL_PARAMS["2a"], [0.5, 1.0], initial=v0)
+        with pytest.raises(UnsupportedForm):
+            traj.columns()
+
+
+def sts_by_item_writes(v11, v33, v13):
+    """The standard-form matrix as built one entry at a time into zeros."""
+    m = np.zeros((4, 4))
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = v11, v11, v33, v33
+    m[0, 2] = m[2, 0] = v13
+    m[1, 3] = m[3, 1] = -v13
+    return m
+
+
+class TestOneBuildPerMatrix:
+    """Trajectory states and scalar closed forms are built once: neither
+    goes through TwoModeCovariance's public checks and copy."""
+
+    @pytest.fixture
+    def post_inits(self, monkeypatch):
+        calls = []
+        post_init = TwoModeCovariance.__post_init__
+
+        def counting(cm):
+            calls.append(1)
+            post_init(cm)
+
+        monkeypatch.setattr(TwoModeCovariance, "__post_init__", counting)
+        return calls
+
+    def test_oracle_check_builds_no_matrix_twice(self, post_inits):
+        rp = PANEL_PARAMS["2c"]
+        traj = covariance_ode(rp, np.linspace(0.0, 0.1, 501))
+        for t, state in traj:
+            covariance_closed_form(rp, t)
+        stationary_covariance(rp)
+        assert len(post_inits) == 0
+        TwoModeCovariance(np.eye(4))  # the public constructor still checks
+        assert len(post_inits) == 1
+
+    def test_scalar_closed_form_has_the_bits_of_item_writes(self):
+        rng = np.random.default_rng(31)
+        for k in range(1000):
+            rp = random_reduced(rng)
+            t = 0.0 if k == 0 else float(10.0 ** rng.uniform(-4.0, 1.5))
+            cm = covariance_closed_form(rp, t)
+            assert cm.matrix.tobytes() == sts_by_item_writes(*_closed_form(rp, t)).tobytes()
+            assert not cm.matrix.flags.writeable
+            assert not cm.matrix.base.flags.writeable
 
 
 class TestThirdRoute:

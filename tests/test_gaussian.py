@@ -71,10 +71,33 @@ class TestConstructionAndValidation:
         assert report.nu_minus == pytest.approx(0.1, abs=1e-15)
 
     def test_non_finite_entries_rejected(self):
-        m = np.eye(4)
-        m[0, 0] = np.nan
+        for entry in ((0, 0), (1, 3), (3, 2)):
+            for bad in (math.nan, math.inf, -math.inf):
+                m = np.eye(4)
+                m[entry] = bad
+                with pytest.raises(InvalidInput):
+                    TwoModeCovariance(m)
+
+    def test_huge_and_negative_entries_accepted(self):
+        m = np.full((4, 4), 1e308)
+        m[0, 0] = m[3, 3] = -1e308
+        assert np.array_equal(TwoModeCovariance(m).matrix, m)
+        cm = TwoModeCovariance.from_standard_form(1e308, -1.0, -1e308)
+        assert cm.v11 == 1e308 and cm.v33 == -1.0 and cm.v24 == 1e308
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["v11", "v33", "v13", "v22", "v44", "v24"])
+    def test_standard_form_with_a_non_finite_element_rejected(self, bad, name):
+        elements = dict(v11=1.0, v33=1.0, v13=0.5, v22=1.0, v44=1.0, v24=-0.5)
+        elements[name] = bad
         with pytest.raises(InvalidInput):
-            TwoModeCovariance(m)
+            TwoModeCovariance.from_standard_form(**elements)
+
+    def test_constructor_copies_its_input(self):
+        m = np.eye(4)
+        cm = TwoModeCovariance(m)
+        m[0, 0] = 2.0
+        assert cm.matrix[0, 0] == 1.0
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidInput):
